@@ -255,11 +255,14 @@ BENCHMARK(BM_Podem_PerFault)->Arg(0)->Arg(1);
 
 // The static analyzer: the whole structural pass (topology, constant
 // propagation, observability, untestable sites, FFR stats) has to stay
-// cheap enough to run as a pre-flight gate before EVERY flow.
+// cheap enough to run as a pre-flight gate before EVERY flow. The
+// implication prover is off here; BM_Analyze_Implications times it.
 void BM_Analyze_Structural(benchmark::State& state) {
   const circuit::Circuit c = circuit_for(static_cast<int>(state.range(0)));
+  analyze::Options options;
+  options.untestable = analyze::Policy::kOff;
   for (auto _ : state) {
-    const analyze::Report report = analyze::analyze(c);
+    const analyze::Report report = analyze::analyze(c, options);
     benchmark::DoNotOptimize(report.diagnostics.size());
     benchmark::DoNotOptimize(report.ffr.regions);
   }
@@ -271,8 +274,8 @@ BENCHMARK(BM_Analyze_Structural)->Arg(0)->Arg(1)->Arg(2)->Arg(3);
 
 // The implication engine end to end: direct-implication tables, static
 // learning, dominators, cones, plus a full FIRE redundancy sweep. This is
-// the one-time cost flow::run pays (per circuit, amortized over every
-// PODEM solve) when analyze_untestable is enabled.
+// what the analyze gate pays when analyze_untestable is enabled: once per
+// flow::run, or once per cached product under the batch runner.
 void BM_Analyze_Implications(benchmark::State& state) {
   const circuit::Circuit c = circuit_for(static_cast<int>(state.range(0)));
   const circuit::CompiledCircuit compiled(c);
@@ -307,4 +310,13 @@ BENCHMARK(BM_Analyze_Testability)->Arg(0)->Arg(1)->Arg(2)->Arg(3);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  // The build type of the code under test, beside google-benchmark's host
+  // context: tools/perf_gate.py only compares runs whose contexts agree.
+  benchmark::AddCustomContext("build_type", LSIQ_BUILD_TYPE);
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

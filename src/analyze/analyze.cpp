@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <functional>
 #include <map>
+#include <optional>
 #include <string>
 #include <utility>
 
-#include "analyze/implication.hpp"
 #include "analyze/redundancy.hpp"
 #include "circuit/compiled.hpp"
 
@@ -229,7 +229,8 @@ std::string value_text(LineValue value) {
 
 }  // namespace
 
-Report analyze(const Circuit& circuit, const Options& options) {
+Report analyze(const Circuit& circuit, const Options& options,
+               const RedundancyReport* redundancy) {
   Report report;
   Emitter emit(options, &report.diagnostics);
   const std::size_t n = circuit.gate_count();
@@ -485,16 +486,20 @@ Report analyze(const Circuit& circuit, const Options& options) {
   // implication engine adds implied constants, necessary-assignment
   // conflicts and FIRE stem conflicts — the reconvergent redundancies a
   // forward/backward sweep cannot see. Only finalized circuits can be
-  // compiled, and the prover only runs when its class is enabled.
+  // compiled, and the prover only runs when its class is enabled (and
+  // the caller did not supply its report).
   if (circuit.finalized() &&
       options.policy(RuleClass::kUntestable) != Policy::kOff) {
-    const circuit::CompiledCircuit compiled(circuit);
-    const ImplicationEngine engine(compiled);
-    const RedundancyReport redundancy = identify_redundancies(engine);
+    std::optional<RedundancyReport> proven;
+    if (redundancy == nullptr) {
+      proven.emplace(
+          identify_redundancies(circuit::CompiledCircuit(circuit)));
+      redundancy = &*proven;
+    }
     std::vector<fault::Fault> merged;
-    merged.reserve(report.untestable_sites.size() + redundancy.sites.size());
+    merged.reserve(report.untestable_sites.size() + redundancy->sites.size());
     auto structural = report.untestable_sites.begin();
-    for (const RedundantSite& site : redundancy.sites) {
+    for (const RedundantSite& site : redundancy->sites) {
       while (structural != report.untestable_sites.end() &&
              *structural < site.fault) {
         merged.push_back(*structural++);

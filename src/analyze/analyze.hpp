@@ -39,6 +39,8 @@
 
 namespace lsiq::analyze {
 
+struct RedundancyReport;
+
 /// Ternary constant-propagation lattice value of a line.
 enum class LineValue : std::int8_t {
   kUnknown = -1,  ///< depends on inputs
@@ -93,6 +95,13 @@ struct Report {
 /// which needs a fault universe — see analyze/testability.hpp). Accepts
 /// finalized and unfinalized circuits alike; never throws on netlist
 /// defects — they become diagnostics.
-Report analyze(const circuit::Circuit& circuit, const Options& options = {});
+///
+/// `redundancy`, when non-null, is the implication prover's report over
+/// this circuit (identify_redundancies, analyze/redundancy.hpp), proven
+/// once by the caller and shared; null proves it here. Either way it is
+/// consulted only when the untestable class is enabled and the circuit
+/// is finalized.
+Report analyze(const circuit::Circuit& circuit, const Options& options = {},
+               const RedundancyReport* redundancy = nullptr);
 
 }  // namespace lsiq::analyze

@@ -161,4 +161,10 @@ RedundancyReport identify_redundancies(const ImplicationEngine& engine) {
   return report;
 }
 
+RedundancyReport identify_redundancies(
+    const circuit::CompiledCircuit& compiled) {
+  const ImplicationEngine engine(compiled);
+  return identify_redundancies(engine);
+}
+
 }  // namespace lsiq::analyze

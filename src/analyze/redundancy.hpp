@@ -62,4 +62,10 @@ struct RedundancyReport {
 [[nodiscard]] RedundancyReport identify_redundancies(
     const ImplicationEngine& engine);
 
+/// The same over a compiled circuit, through a transient engine. The
+/// engine's learning tables are megabytes on a large product, the report
+/// a handful of sites, so callers that keep a proof keep this report.
+[[nodiscard]] RedundancyReport identify_redundancies(
+    const circuit::CompiledCircuit& compiled);
+
 }  // namespace lsiq::analyze

@@ -87,15 +87,23 @@ void run_spec_once(const std::string& path, ArtifactCache& cache,
       *fault_model::fault_model_from_name(file.spec.fault_model.kind);
   const std::shared_ptr<const ArtifactCache::Artifacts> artifacts =
       cache.get(file.circuit, model);
+  // The gate's implication proof comes from the product's cache entry:
+  // proven by the first spec that enables the untestable class, shared by
+  // every later one.
+  const analyze::RedundancyReport* redundancy =
+      *analyze::policy_from_name(file.spec.analyze.untestable) !=
+              analyze::Policy::kOff
+          ? &cache.redundancy(*artifacts)
+          : nullptr;
   if (options.check_only) {
     // Lint-before-run: the analyze gate only. A LintError escapes to the
     // retry boundary and becomes a permanent "lint" failure record.
-    check(*artifacts->faults, file.spec);
+    check_detailed(*artifacts->faults, file.spec, redundancy);
     record->classes = artifacts->faults->class_count();
     return;
   }
   const FlowResult result = run(*artifacts->faults, file.spec,
-                                artifacts->compiled);
+                                artifacts->compiled, redundancy);
 
   record->patterns = result.patterns.size();
   record->classes = artifacts->faults->class_count();
@@ -334,6 +342,17 @@ std::shared_ptr<const ArtifactCache::Artifacts> ArtifactCache::get(
   return handle;
 }
 
+const analyze::RedundancyReport& ArtifactCache::redundancy(
+    const Artifacts& artifacts) {
+  const std::lock_guard<std::mutex> lock(artifacts.proof_mutex_);
+  if (!artifacts.redundancy_.has_value()) {
+    artifacts.redundancy_.emplace(
+        analyze::identify_redundancies(*artifacts.compiled));
+    ++redundancy_builds_;
+  }
+  return *artifacts.redundancy_;
+}
+
 void ArtifactCache::set_max_cost(std::size_t max_cost) {
   const std::lock_guard<std::mutex> lock(mutex_);
   max_cost_ = max_cost;
@@ -365,6 +384,7 @@ ArtifactCache::Stats ArtifactCache::stats() const {
   stats.entries = entries_.size();
   stats.cost = cost_;
   stats.max_cost = max_cost_;
+  stats.redundancy_builds = redundancy_builds_.load();
   return stats;
 }
 
@@ -529,6 +549,7 @@ BatchResult run_batch(const std::vector<std::string>& specs,
   const ArtifactCache::Stats cache_stats = cache.stats();
   result.cache_hits = cache_stats.hits;
   result.cache_misses = cache_stats.misses;
+  result.redundancy_builds = cache_stats.redundancy_builds;
   return result;
 }
 

@@ -43,6 +43,7 @@
 // deterministically (see tests/test_batch.cpp).
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <fstream>
 #include <iosfwd>
@@ -54,6 +55,7 @@
 #include <utility>
 #include <vector>
 
+#include "analyze/redundancy.hpp"
 #include "circuit/compiled.hpp"
 #include "circuit/netlist.hpp"
 #include "fault/fault_list.hpp"
@@ -109,9 +111,10 @@ struct BatchOptions {
 
   /// Lint-only dry run (`lsiq_flow --check --batch`): every spec is
   /// parsed, validated, resolved against its circuit and pushed through
-  /// the flow::check analyze gate, but nothing is graded. A gate refusal
-  /// is a "failed" record with error_code "lint" (permanent, no retry);
-  /// ok records carry the universe's class count with zero patterns.
+  /// the flow::check_detailed analyze gate, but nothing is graded. A gate
+  /// refusal is a "failed" record with error_code "lint" (permanent, no
+  /// retry); ok records carry the universe's class count with zero
+  /// patterns.
   bool check_only = false;
 
   /// ArtifactCache cost bound (see ArtifactCache::set_max_cost) for the
@@ -175,6 +178,13 @@ class ArtifactCache {
     std::unique_ptr<const circuit::Circuit> circuit;
     std::unique_ptr<const fault::FaultList> faults;
     std::shared_ptr<const circuit::CompiledCircuit> compiled;
+
+   private:
+    friend class ArtifactCache;
+    /// Filled by ArtifactCache::redundancy() on first use, under the
+    /// entry's own lock.
+    mutable std::mutex proof_mutex_;
+    mutable std::optional<analyze::RedundancyReport> redundancy_;
   };
 
   struct Stats {
@@ -184,6 +194,7 @@ class ArtifactCache {
     std::size_t entries = 0;   ///< live (non-evicted) entries
     std::size_t cost = 0;      ///< summed cost of live entries
     std::size_t max_cost = 0;  ///< configured bound; 0 = unbounded
+    std::size_t redundancy_builds = 0;  ///< proofs run by redundancy()
   };
 
   ArtifactCache() = default;
@@ -195,6 +206,17 @@ class ArtifactCache {
   /// handle stays valid for the handle's lifetime regardless of eviction.
   std::shared_ptr<const Artifacts> get(const std::string& circuit_name,
                                        fault_model::FaultModel model);
+
+  /// The implication prover's report over the entry's circuit
+  /// (analyze::identify_redundancies), proven on the first call and shared
+  /// by every later spec of the product: the analyze gate's untestable
+  /// class and its static-redundancy census then cost nothing past the
+  /// first spec. The proof runs under the entry's own lock, not the
+  /// cache's, so lanes cold on different products never wait on each
+  /// other; a throwing proof caches nothing. Only the report is kept — the
+  /// transient ImplicationEngine is freed as soon as it has answered. The
+  /// reference lives as long as `artifacts`.
+  const analyze::RedundancyReport& redundancy(const Artifacts& artifacts);
 
   /// (Re)configure the cost bound; evicts immediately when the new bound
   /// is tighter than the live total. 0 = unbounded.
@@ -227,6 +249,7 @@ class ArtifactCache {
   std::size_t hits_ = 0;
   std::size_t misses_ = 0;
   std::size_t evictions_ = 0;
+  std::atomic<std::size_t> redundancy_builds_{0};
 };
 
 /// The JSONL result store / checkpoint writer. Thread-safe; every append
@@ -281,6 +304,7 @@ struct BatchResult {
   std::size_t resumed_count = 0;
   std::size_t cache_hits = 0;
   std::size_t cache_misses = 0;
+  std::size_t redundancy_builds = 0;  ///< ArtifactCache::Stats field
 
   [[nodiscard]] bool all_ok() const noexcept { return failed_count == 0; }
 

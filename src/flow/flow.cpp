@@ -1,11 +1,11 @@
 #include "flow/flow.hpp"
 
 #include <iterator>
+#include <optional>
 #include <sstream>
 #include <utility>
 
 #include "analyze/analyze.hpp"
-#include "analyze/implication.hpp"
 #include "analyze/redundancy.hpp"
 #include "analyze/testability.hpp"
 #include "bist/misr.hpp"
@@ -72,18 +72,22 @@ std::vector<quality::CoveragePoint> FlowResult::points() const {
   return wafer::coverage_points(table);
 }
 
-std::vector<analyze::Diagnostic> check(const fault::FaultList& faults,
-                                       const FlowSpec& spec) {
-  return check_detailed(faults, spec).diagnostics;
-}
-
 CheckOutcome check_detailed(const fault::FaultList& faults,
-                            const FlowSpec& spec) {
+                            const FlowSpec& spec,
+                            const analyze::RedundancyReport* redundancy) {
   validate_or_throw(spec);
   CheckOutcome outcome;
   const analyze::Options options = analyze_options(spec.analyze);
   if (!options.any_enabled()) return outcome;
-  analyze::Report report = analyze::analyze(faults.circuit(), options);
+  const bool prove = options.untestable != analyze::Policy::kOff;
+  std::optional<analyze::RedundancyReport> proven;
+  if (prove && redundancy == nullptr) {
+    proven.emplace(analyze::identify_redundancies(
+        circuit::CompiledCircuit(faults.circuit())));
+    redundancy = &*proven;
+  }
+  analyze::Report report =
+      analyze::analyze(faults.circuit(), options, redundancy);
   outcome.diagnostics = std::move(report.diagnostics);
   if (options.testability != analyze::Policy::kOff) {
     const analyze::TestabilityReport testability =
@@ -108,13 +112,9 @@ CheckOutcome check_detailed(const fault::FaultList& faults,
   // the capture half: the Fault record IS the matching capture stuck-at,
   // and a redundant capture objective makes the transition fault
   // untestable (tpg::generate_transition_test's kCapture proof).
-  if (options.untestable != analyze::Policy::kOff) {
-    const circuit::CompiledCircuit compiled(faults.circuit());
-    const analyze::ImplicationEngine engine(compiled);
-    const analyze::RedundancyReport redundancy =
-        analyze::identify_redundancies(engine);
+  if (prove) {
     std::vector<char> hit(faults.class_count(), 0);
-    for (const analyze::RedundantSite& site : redundancy.sites) {
+    for (const analyze::RedundantSite& site : redundancy->sites) {
       const std::size_t index = faults.index_of(site.fault);
       if (index >= faults.fault_count()) continue;  // not in this universe
       hit[faults.class_of(index)] = 1;
@@ -165,7 +165,8 @@ sim::PatternSet make_patterns(const fault::FaultList& faults,
 }
 
 FlowResult run(const fault::FaultList& faults, const FlowSpec& spec,
-               std::shared_ptr<const circuit::CompiledCircuit> compiled) {
+               std::shared_ptr<const circuit::CompiledCircuit> compiled,
+               const analyze::RedundancyReport* redundancy) {
   LSIQ_FAILPOINT("flow.run");
   validate_or_throw(spec);
   // validate() guaranteed the name resolves; the list must agree with the
@@ -189,7 +190,7 @@ FlowResult run(const fault::FaultList& faults, const FlowSpec& spec,
   // 0. The pre-run analyze gate: lint the netlist before any engine
   // spends time on it. An error-policy finding throws LintError here;
   // warnings and the static-redundancy census ride along on the result.
-  CheckOutcome gate = check_detailed(faults, spec);
+  CheckOutcome gate = check_detailed(faults, spec, redundancy);
   result.lint = std::move(gate.diagnostics);
   result.statically_redundant_classes = gate.statically_redundant_classes;
   result.statically_redundant_faults = gate.statically_redundant_faults;

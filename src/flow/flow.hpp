@@ -24,6 +24,10 @@
 #include "wafer/experiment.hpp"
 #include "wafer/tester.hpp"
 
+namespace lsiq::analyze {
+struct RedundancyReport;
+}  // namespace lsiq::analyze
+
 namespace lsiq::flow {
 
 /// Everything one flow produces. Which members are populated depends on
@@ -110,6 +114,11 @@ sim::PatternSet make_patterns(
 /// cache amortizes compilation across many specs. Results are
 /// bit-identical either way.
 ///
+/// `redundancy`, when non-null, must be the implication prover's report
+/// over faults.circuit() (analyze::identify_redundancies); the analyze
+/// gate uses it instead of proving it again. The batch runner passes its
+/// artifact-cache entry's report here. Results are identical either way.
+///
 /// Failure injection and cancellation: run() passes the named failpoint
 /// sites "flow.run" (entry), "flow.patterns" (pattern materialization)
 /// and "flow.grade" (before grading) — see util/failpoint.hpp — and the
@@ -118,18 +127,8 @@ sim::PatternSet make_patterns(
 /// DeadlineScope bounds a wedged run.
 FlowResult run(const fault::FaultList& faults, const FlowSpec& spec,
                std::shared_ptr<const circuit::CompiledCircuit> compiled =
-                   nullptr);
-
-/// The pre-run lint gate on its own: run the spec's analyze section over
-/// the universe's circuit without materializing patterns or grading
-/// anything. Returns the warn-severity diagnostics; throws
-/// analyze::LintError (ErrorCode::kLint, permanent) when any enabled rule
-/// class set to "error" fired, and InvalidSpec when validate() rejects
-/// the spec. run() calls this before touching the pattern source; the
-/// `lsiq_flow --check` mode and the batch runner's check-only mode call
-/// it directly.
-std::vector<analyze::Diagnostic> check(const fault::FaultList& faults,
-                                       const FlowSpec& spec);
+                   nullptr,
+               const analyze::RedundancyReport* redundancy = nullptr);
 
 /// What the pre-run gate learned: the warn-severity diagnostics plus the
 /// static-redundancy census over the universe (see the FlowResult fields
@@ -141,9 +140,20 @@ struct CheckOutcome {
   std::size_t statically_redundant_faults = 0;
 };
 
-/// check() with the static-redundancy census. Same throwing behavior.
-CheckOutcome check_detailed(const fault::FaultList& faults,
-                            const FlowSpec& spec);
+/// The pre-run lint gate on its own: run the spec's analyze section over
+/// the universe's circuit without materializing patterns or grading
+/// anything. Throws analyze::LintError (ErrorCode::kLint, permanent) when
+/// any enabled rule class set to "error" fired, and InvalidSpec when
+/// validate() rejects the spec. run() calls this before touching the
+/// pattern source; the `lsiq_flow --check` mode and the batch runner's
+/// check-only mode call it directly.
+///
+/// When spec.analyze.untestable is enabled the implication prover runs
+/// once and feeds both the diagnostics and the census; `redundancy`, when
+/// non-null, is that proof supplied by the caller (see run()).
+CheckOutcome check_detailed(
+    const fault::FaultList& faults, const FlowSpec& spec,
+    const analyze::RedundancyReport* redundancy = nullptr);
 
 /// Convenience overload: enumerate the spec's fault-model universe of the
 /// circuit (fault_model::universe) first, then run.

@@ -169,6 +169,7 @@ void SocketServer::run_connection(int fd, std::size_t slot) {
 
 bool SocketServer::handle_connection(int fd) {
   std::string buffer;
+  std::size_t scanned = 0;  // buffer[0, scanned) holds no newline
   char chunk[4096];
   while (true) {
     if (options_.idle_timeout_ms > 0) {
@@ -203,15 +204,27 @@ bool SocketServer::handle_connection(int fd) {
     if (n == 0) return true;  // client done
     buffer.append(chunk, static_cast<std::size_t>(n));
     std::size_t newline;
-    while ((newline = buffer.find('\n')) != std::string::npos) {
+    while ((newline = buffer.find('\n', scanned)) != std::string::npos &&
+           newline <= kMaxRequestLine) {
       const std::string line = buffer.substr(0, newline);
       buffer.erase(0, newline + 1);
+      scanned = 0;
       if (line.empty()) continue;
       std::string response;
       const bool keep_serving = handle_line(line, &response);
       write_all(fd, response);
       if (!keep_serving) return false;
     }
+    if (std::min(newline, buffer.size()) > kMaxRequestLine) {
+      write_all(fd, error_response(
+                        ErrorCode::kParse,
+                        "request line longer than " +
+                            std::to_string(kMaxRequestLine) +
+                            " bytes; connection closed") +
+                        "\n");
+      return true;
+    }
+    scanned = buffer.size();
   }
 }
 

@@ -8,10 +8,16 @@
 
 #include <filesystem>
 #include <fstream>
+#include <latch>
+#include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "fault_model/universe.hpp"
+#include "flow/flow.hpp"
+#include "flow/spec_io.hpp"
 #include "util/error.hpp"
 #include "util/failpoint.hpp"
 
@@ -623,6 +629,190 @@ TEST_F(BatchTest, CheckOnlyLintsWithoutGrading) {
   ASSERT_EQ(graded.records.size(), 1u);
   EXPECT_EQ(graded.records[0].status, "ok");
   EXPECT_EQ(graded.records[0].patterns, 64u);
+}
+
+// ---- the analyze gate's implication proof, cached per product ----
+
+/// A netlist the implication prover has plenty to say about: each
+/// z_i = AND(a_i, NOT a_i) is an implied constant 0 (not a tied one, so
+/// the structural pass cannot see it), which makes z_i and its pins
+/// redundant — more untestable_implication findings than the per-rule
+/// cap, so the gate also emits a suppressed-summary row.
+std::string redundant_bench() {
+  std::string text = "INPUT(b)\n";
+  for (int i = 0; i < 12; ++i) {
+    const std::string n = std::to_string(i);
+    text += "INPUT(a" + n + ")\nOUTPUT(o" + n + ")\n";
+    text += "n" + n + " = NOT(a" + n + ")\n";
+    text += "z" + n + " = AND(a" + n + ", n" + n + ")\n";
+    text += "o" + n + " = OR(z" + n + ", b)\n";
+  }
+  return text;
+}
+
+/// Everything the gate reports, field by field and in order: the census,
+/// then each diagnostic (rule, class, severity, object, message, gate) —
+/// or, when an error policy fired, the LintError's diagnostics.
+std::string gate_outcome(const fault::FaultList& faults, const FlowSpec& spec,
+                         const analyze::RedundancyReport* redundancy) {
+  std::string out;
+  std::vector<analyze::Diagnostic> diagnostics;
+  try {
+    const CheckOutcome outcome = check_detailed(faults, spec, redundancy);
+    out = "census " + std::to_string(outcome.statically_redundant_classes) +
+          " " + std::to_string(outcome.statically_redundant_faults) + "\n";
+    diagnostics = outcome.diagnostics;
+  } catch (const analyze::LintError& e) {
+    out = "lint\n";
+    diagnostics = e.diagnostics();
+  }
+  for (const analyze::Diagnostic& diagnostic : diagnostics) {
+    out += diagnostic.to_jsonl() + " @" + std::to_string(diagnostic.gate) +
+           "\n";
+  }
+  return out;
+}
+
+TEST_F(BatchTest, CachedGateProofMatchesAFreshGate) {
+  // Every product the committed specs name, plus lint_demo.bench and a
+  // netlist with real implication proofs: the gate fed from a warm cache
+  // entry must say exactly what a fresh, uncached gate says, under both
+  // fault models and every untestable policy.
+  const fs::path root = fs::path(__FILE__).parent_path().parent_path();
+  std::set<std::string> products;
+  for (const fs::path& dir :
+       {root / "tools/specs", root / "tools/specs/sweeps"}) {
+    for (const fs::directory_entry& entry : fs::directory_iterator(dir)) {
+      if (entry.path().extension() != ".spec") continue;
+      const std::string circuit =
+          read_spec_file(entry.path().string()).circuit;
+      products.insert(circuit.ends_with(".bench") ? (root / circuit).string()
+                                                  : circuit);
+    }
+  }
+  EXPECT_TRUE(products.count("mult16") == 1 && products.count("mult8") == 1);
+  EXPECT_EQ(products.count((root / "tools/specs/lint_demo.bench").string()),
+            1u);
+  const fs::path redundant = dir_ / "redundant.bench";
+  std::ofstream(redundant) << redundant_bench();
+  products.insert(redundant.string());
+
+  for (const std::string& product : products) {
+    for (const auto model : {fault_model::FaultModel::kStuckAt,
+                             fault_model::FaultModel::kTransition}) {
+      const circuit::Circuit circuit = circuit_from_name(product);
+      const fault::FaultList fresh = fault_model::universe(circuit, model);
+      ArtifactCache cache;
+      const auto artifacts = cache.get(product, model);
+      for (const char* policy : {"off", "warn", "error"}) {
+        SCOPED_TRACE(product + " " + fault_model::fault_model_name(model) +
+                     " untestable=" + policy);
+        FlowSpec spec;
+        spec.fault_model.kind = fault_model::fault_model_name(model);
+        spec.analyze.untestable = policy;
+        const analyze::RedundancyReport* proof =
+            std::string(policy) != "off" ? &cache.redundancy(*artifacts)
+                                         : nullptr;
+        EXPECT_EQ(gate_outcome(*artifacts->faults, spec, proof),
+                  gate_outcome(fresh, spec, nullptr));
+      }
+      EXPECT_EQ(cache.stats().redundancy_builds, 1u);  // warn, then reused
+    }
+  }
+
+  // The synthetic product really exercised the proof paths: a nonzero
+  // census and a suppressed-summary row — and a whole flow::run fed the
+  // cached proof reports exactly what an uncached one does.
+  ArtifactCache cache;
+  const auto artifacts =
+      cache.get(redundant.string(), fault_model::FaultModel::kStuckAt);
+  const analyze::RedundancyReport& proof = cache.redundancy(*artifacts);
+  const CheckOutcome outcome =
+      check_detailed(*artifacts->faults, FlowSpec{}, &proof);
+  EXPECT_GT(outcome.statically_redundant_classes, 0u);
+  bool summary = false;
+  for (const analyze::Diagnostic& diagnostic : outcome.diagnostics) {
+    summary = summary ||
+              (diagnostic.rule == analyze::Rule::kUntestableImplication &&
+               diagnostic.gate == circuit::kNoGate);
+  }
+  EXPECT_TRUE(summary);
+  FlowSpec spec;
+  spec.source.pattern_count = 64;
+  EXPECT_EQ(run(*artifacts->faults, spec, artifacts->compiled, &proof)
+                .report(),
+            run(*artifacts->faults, spec).report());
+}
+
+TEST_F(BatchTest, RedundancyProofRunsOncePerProductOnFirstUse) {
+  // N specs over one product prove once; specs with the untestable class
+  // off never trigger the proof; the check-only path shares it too.
+  BatchOptions options = fast_options();
+  std::vector<std::string> proving;
+  for (int i = 0; i < 5; ++i) {
+    proving.push_back(write_spec("p" + std::to_string(i) + ".spec"));
+  }
+  const BatchResult warm = run_batch(proving, options);
+  EXPECT_EQ(warm.ok_count, 5u);
+  EXPECT_EQ(warm.redundancy_builds, 1u);
+
+  const std::string off_text =
+      std::string(kGoodSpec) + "analyze_untestable = off\n";
+  const std::vector<std::string> off = {write_spec("o0.spec", off_text),
+                                        write_spec("o1.spec", off_text)};
+  const BatchResult unproven = run_batch(off, options);
+  EXPECT_EQ(unproven.ok_count, 2u);
+  EXPECT_EQ(unproven.redundancy_builds, 0u);
+
+  options.num_workers = 1;  // off specs first: the proof waits for use
+  std::vector<std::string> mixed = off;
+  mixed.push_back(proving[0]);
+  EXPECT_EQ(run_batch(mixed, options).redundancy_builds, 1u);
+
+  options.check_only = true;
+  EXPECT_EQ(run_batch(proving, options).redundancy_builds, 1u);
+}
+
+TEST_F(BatchTest, ConcurrentFirstUseProvesEachProductOnce) {
+  // Four lanes hit two cold products at the same moment: each product is
+  // proven exactly once and every lane reads the same report.
+  ArtifactCache cache;
+  const auto model = fault_model::FaultModel::kStuckAt;
+  const std::vector<std::string> products = {"c17", "adder8"};
+  constexpr int kLanes = 4;
+  std::vector<const analyze::RedundancyReport*> seen(kLanes *
+                                                     products.size());
+  std::latch start(kLanes);
+  std::vector<std::thread> lanes;
+  for (int lane = 0; lane < kLanes; ++lane) {
+    lanes.emplace_back([&, lane] {
+      start.arrive_and_wait();
+      for (std::size_t p = 0; p < products.size(); ++p) {
+        // Odd lanes walk the products in reverse, so both are cold at once.
+        const std::size_t q = lane % 2 == 0 ? p : products.size() - 1 - p;
+        const auto artifacts = cache.get(products[q], model);
+        seen[lane * products.size() + q] = &cache.redundancy(*artifacts);
+      }
+    });
+  }
+  for (std::thread& lane : lanes) lane.join();
+  EXPECT_EQ(cache.stats().redundancy_builds, products.size());
+  for (int lane = 1; lane < kLanes; ++lane) {
+    for (std::size_t p = 0; p < products.size(); ++p) {
+      EXPECT_EQ(seen[lane * products.size() + p], seen[p]);
+    }
+  }
+
+  // The same through the batch runner: four lanes, one product, one proof.
+  std::vector<std::string> specs;
+  for (int i = 0; i < 8; ++i) {
+    specs.push_back(write_spec("s" + std::to_string(i) + ".spec"));
+  }
+  BatchOptions options = fast_options();
+  options.num_workers = kLanes;
+  const BatchResult result = run_batch(specs, options);
+  EXPECT_EQ(result.ok_count, specs.size());
+  EXPECT_EQ(result.redundancy_builds, 1u);
 }
 
 TEST_F(BatchTest, ConcurrencyDoesNotChangeResults) {

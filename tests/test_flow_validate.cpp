@@ -494,7 +494,7 @@ TEST(FlowAnalyzeGate, CheckRunsTheGateWithoutGrading) {
   spec.lot.chip_count = 0;
   spec.analyze.untestable = "off";
   const std::vector<analyze::Diagnostic> warnings =
-      flow::check(faults, spec);
+      flow::check_detailed(faults, spec).diagnostics;
   ASSERT_EQ(warnings.size(), 1u);
   EXPECT_EQ(warnings[0].rule, analyze::Rule::kUnusedInput);
 
@@ -502,11 +502,12 @@ TEST(FlowAnalyzeGate, CheckRunsTheGateWithoutGrading) {
   spec.analyze.structure = "off";
   spec.analyze.dead_logic = "off";
   spec.analyze.untestable = "off";
-  EXPECT_TRUE(flow::check(faults, spec).empty());
+  EXPECT_TRUE(
+      flow::check_detailed(faults, spec).diagnostics.empty());
 
   // An invalid spec is refused before any analysis happens.
   spec.analyze.structure = "strict";
-  EXPECT_THROW(flow::check(faults, spec), InvalidSpec);
+  EXPECT_THROW(flow::check_detailed(faults, spec), InvalidSpec);
 }
 
 TEST(FlowAnalyzeGate, CleanCircuitRunsWithEmptyLint) {

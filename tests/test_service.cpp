@@ -675,6 +675,51 @@ TEST_F(ServiceTest, IdleConnectionGetsStructuredDeadlineRefusal) {
   serving.join();
 }
 
+TEST_F(ServiceTest, OverlongRequestLineIsRefusedAndClosed) {
+  const std::string socket = (dir_ / "flowd.sock").string();
+  FlowService service(lane1_options());
+  SocketServer server(service, socket);
+  std::thread serving([&] { server.serve(); });
+
+  {
+    // A peer connected before the flood, to prove it is unaffected.
+    SocketClient bystander(socket);
+    bystander.send_line("{\"op\":\"ping\"}");
+    EXPECT_NE(bystander.read_line().find("\"ok\":true"), std::string::npos);
+
+    // One byte past the cap without a newline: a structured parse error,
+    // then EOF. The server may close before the client has written its
+    // last bytes, so a failed send is part of the expected outcome.
+    SocketClient flood(socket);
+    try {
+      flood.send_line(std::string(kMaxRequestLine + 1, 'x'));
+    } catch (const IoError&) {
+    }
+    const std::string line = flood.read_line();
+    EXPECT_NE(line.find("\"error_code\":\"parse\""), std::string::npos)
+        << line;
+    EXPECT_NE(line.find("longer than"), std::string::npos) << line;
+    EXPECT_THROW(flood.read_line(), IoError);
+
+    bystander.send_line("{\"op\":\"ping\"}");
+    EXPECT_NE(bystander.read_line().find("\"ok\":true"), std::string::npos);
+  }
+
+  // A line of exactly the cap is still a request (here a malformed one,
+  // answered on a connection that stays open), and new clients are served.
+  {
+    SocketClient client(socket);
+    client.send_line(std::string(kMaxRequestLine, 'x'));
+    EXPECT_NE(client.read_line().find("malformed request line"),
+              std::string::npos);
+    client.send_line("{\"op\":\"ping\"}");
+    EXPECT_NE(client.read_line().find("\"ok\":true"), std::string::npos);
+    client.send_line("{\"op\":\"shutdown\"}");
+    client.read_line();
+  }
+  serving.join();
+}
+
 TEST_F(ServiceTest, AcceptFailpointDoesNotLeakAConnectionSlot) {
   const std::string socket = (dir_ / "flowd.sock").string();
   FlowService service(lane1_options());

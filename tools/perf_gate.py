@@ -36,11 +36,37 @@ Benchmarks present on only one side are reported but never fatal, so
 adding or renaming benchmarks cannot wedge CI; only a measured regression
 on a comparable name can. Time units are taken from the baseline entry
 and must match the current one.
+
+Host context: times from different hosts or builds are not comparable.
+Each run's google-benchmark `context` is read for CONTEXT_KEYS (CPU
+count, the code's build type, the benchmark library's build type); when
+the two sides disagree on a key both record, every benchmark is printed
+as "context mismatch" instead of a delta and nothing is gated. History
+lines record the current run's context beside its medians.
 """
 
 import argparse
 import json
 import sys
+
+# The google-benchmark context keys that make two runs comparable.
+# "build_type" is the custom context perf_fault_sim adds.
+CONTEXT_KEYS = ("num_cpus", "build_type", "library_build_type")
+
+
+def load_context(path):
+    """The run's CONTEXT_KEYS entries (those it records)."""
+    with open(path) as handle:
+        context = json.load(handle).get("context", {})
+    return {key: context[key] for key in CONTEXT_KEYS if key in context}
+
+
+def context_mismatch(baseline, current):
+    """Keys both contexts record with different values, as "key a -> b"."""
+    return [f"{key} {baseline[key]} -> {current[key]}"
+            for key in CONTEXT_KEYS
+            if key in baseline and key in current
+            and baseline[key] != current[key]]
 
 
 def load_times(path, name_filter):
@@ -70,10 +96,12 @@ def load_times(path, name_filter):
     return {name: (time, unit) for name, (_, time, unit) in best.items()}
 
 
-def append_history(path, label, times):
-    """Append one trend line (the run's medians) to the JSONL history."""
+def append_history(path, label, context, times):
+    """Append one trend line (the run's context and medians) to the JSONL
+    history."""
     entry = {
         "label": label,
+        "context": context,
         "benchmarks": {
             name: {"real_time": time, "time_unit": unit}
             for name, (time, unit) in sorted(times.items())
@@ -136,8 +164,9 @@ def main():
 
     baseline = load_times(args.baseline, args.filter)
     current = load_times(args.current, args.filter)
+    current_context = load_context(args.current)
     if args.history and current:
-        append_history(args.history, args.label, current)
+        append_history(args.history, args.label, current_context, current)
         print(f"perf gate: appended {len(current)} median(s) to "
               f"{args.history}")
     if not baseline:
@@ -148,6 +177,15 @@ def main():
         print(f"perf gate: ERROR: current run has no '{args.filter}' "
               "benchmarks (did the suite rename them?)")
         return 1
+
+    mismatch = context_mismatch(load_context(args.baseline),
+                                current_context)
+    if mismatch:
+        print("perf gate: context mismatch (" + ", ".join(mismatch) +
+              "); times are not compared")
+        for name in sorted(set(baseline) | set(current)):
+            print(f"perf gate: {name}: context mismatch")
+        return 0
 
     failures = []
     for name, (base_time, base_unit) in sorted(baseline.items()):
