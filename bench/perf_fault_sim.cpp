@@ -1,6 +1,6 @@
 // Performance suite for the simulation substrate (google-benchmark):
-// compiled parallel-pattern logic simulation, event-driven simulation,
-// serial vs PPSFP vs multi-threaded PPSFP fault simulation, and PODEM.
+// compiled parallel-pattern logic simulation, serial vs PPSFP vs
+// multi-threaded PPSFP fault simulation, and PODEM.
 //
 // The headline ablation is serial vs PPSFP vs PPSFP-MT: parallel-pattern
 // single-fault propagation with fault dropping on the compiled netlist —
@@ -24,7 +24,6 @@
 #include "fault/fault_list.hpp"
 #include "fault/fault_sim.hpp"
 #include "fault/shard.hpp"
-#include "sim/event_sim.hpp"
 #include "sim/parallel_sim.hpp"
 #include "tpg/lfsr.hpp"
 #include "tpg/podem.hpp"
@@ -68,22 +67,6 @@ void BM_LogicSim_ParallelBlock(benchmark::State& state) {
   state.SetLabel(circuit_name(static_cast<int>(state.range(0))));
 }
 BENCHMARK(BM_LogicSim_ParallelBlock)->Arg(0)->Arg(1)->Arg(2)->Arg(3);
-
-void BM_EventSim_SingleInputFlip(benchmark::State& state) {
-  const circuit::Circuit c = circuit_for(static_cast<int>(state.range(0)));
-  sim::EventSimulator simulator(c);
-  std::vector<bool> inputs(c.pattern_inputs().size(), false);
-  simulator.apply(inputs);
-  std::size_t which = 0;
-  for (auto _ : state) {
-    inputs[which] = !inputs[which];
-    simulator.set_input(which, inputs[which]);
-    which = (which + 1) % inputs.size();
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-  state.SetLabel(circuit_name(static_cast<int>(state.range(0))));
-}
-BENCHMARK(BM_EventSim_SingleInputFlip)->Arg(1)->Arg(2)->Arg(3);
 
 void BM_FaultSim_Serial(benchmark::State& state) {
   const circuit::Circuit c = circuit_for(static_cast<int>(state.range(0)));

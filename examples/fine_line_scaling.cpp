@@ -14,7 +14,6 @@
 
 #include "core/coverage_requirement.hpp"
 #include "util/table.hpp"
-#include "yield/defect_density.hpp"
 #include "yield/models.hpp"
 
 int main() {
@@ -24,10 +23,11 @@ int main() {
                "(Section 8)\n\n";
 
   // The product starts at a 4 cm^2-class die on a process with
-  // D0 = 0.8 defects/cm^2 and clustering X = 0.5.
-  const yield_model::DefectModel node0(
-      yield_model::Process{/*defect_density=*/0.8, /*variance_ratio=*/0.5},
-      /*area=*/4.0);
+  // D0 = 0.8 defects/cm^2 and clustering X = 0.5. A linear shrink s scales
+  // the die area by s^2 (Section 8); lambda = D0 * area feeds Eq. 3.
+  const double defect_density = 0.8;
+  const double variance_ratio = 0.5;
+  const double area0 = 4.0;
 
   struct Node {
     const char* name;
@@ -47,17 +47,18 @@ int main() {
                          "n0", "required f (n0 fixed at 6)",
                          "required f (n0 scaled)"});
   for (const Node& node : nodes) {
-    const yield_model::DefectModel scaled =
-        node0.shrunk(node.linear_shrink);
-    const double y = scaled.yield();
+    const double area = area0 * node.linear_shrink * node.linear_shrink;
+    const double lambda = defect_density * area;
+    const double y = yield_model::negative_binomial_yield(lambda,
+                                                          variance_ratio);
     // Effect 1: yield alone (n0 held at the node-A value).
     const double f_yield_only =
         quality::required_fault_coverage(target_reject, y, nodes[0].n0);
     // Effect 2: yield + the n0 growth of finer geometry.
     const double f_both =
         quality::required_fault_coverage(target_reject, y, node.n0);
-    table.add_row({node.name, util::format_double(scaled.area(), 2),
-                   util::format_double(scaled.defects_per_chip(), 2),
+    table.add_row({node.name, util::format_double(area, 2),
+                   util::format_double(lambda, 2),
                    util::format_percent(y, 1),
                    util::format_double(node.n0, 0),
                    util::format_percent(f_yield_only, 1),
@@ -75,10 +76,10 @@ int main() {
 
   // Side note: the same defect data under the catalogue of classical yield
   // models (references [7]-[12]) — how model choice moves the yield input.
+  const double lambda = defect_density * area0;
   std::cout << "\nYield-model sensitivity at node A (lambda = "
-            << util::format_double(node0.defects_per_chip(), 2) << "):\n";
+            << util::format_double(lambda, 2) << "):\n";
   util::TextTable models({"model", "yield", "required f @ n0=6"});
-  const double lambda = node0.defects_per_chip();
   struct Entry {
     const char* name;
     double yield;
@@ -88,7 +89,8 @@ int main() {
         Entry{"Murphy [7]", yield_model::murphy_yield(lambda)},
         Entry{"Seeds [8]", yield_model::seeds_yield(lambda)},
         Entry{"Price [9]", yield_model::price_yield(lambda)},
-        Entry{"neg. binomial (Eq. 3)", node0.yield()}}) {
+        Entry{"neg. binomial (Eq. 3)",
+              yield_model::negative_binomial_yield(lambda, variance_ratio)}}) {
     models.add_row(
         {e.name, util::format_percent(e.yield, 2),
          util::format_percent(

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <utility>
 
 #include "sim/parallel_sim.hpp"
 #include "sim/wide_word.hpp"
@@ -445,10 +446,6 @@ std::vector<std::uint32_t> sorted_live_list(const FaultList& faults,
   return live;
 }
 
-void finalize_result(const FaultList& faults, FaultSimResult& result) {
-  result.finalize(faults);
-}
-
 }  // namespace
 
 void FaultSimResult::finalize(const FaultList& faults) {
@@ -529,25 +526,8 @@ FaultSimResult simulate_serial(const FaultList& faults,
       }
     }
   }
-  finalize_result(faults, result);
+  result.finalize(faults);
   return result;
-}
-
-std::uint64_t detect_word_for_fault(
-    const Circuit& circuit, const Fault& fault,
-    const std::vector<std::uint64_t>& good_values) {
-  Propagator propagator(circuit);
-  propagator.begin_block(good_values);
-  return propagator.detect_word(fault, good_values);
-}
-
-std::uint64_t detect_word_for_fault(
-    const Circuit& circuit, const Fault& fault,
-    const std::vector<std::uint64_t>& good_values,
-    const std::vector<std::uint64_t>* point_masks) {
-  Propagator propagator(circuit);
-  propagator.begin_block(good_values);
-  return propagator.detect_word(fault, good_values, point_masks);
 }
 
 namespace {
@@ -1007,6 +987,20 @@ void grade_range_wide(
 
 }  // namespace
 
+std::shared_ptr<const CompiledCircuit> grading_view(
+    const FaultList& faults, const sim::PatternSet& patterns,
+    std::shared_ptr<const CompiledCircuit> compiled) {
+  const Circuit& circuit = faults.circuit();
+  LSIQ_EXPECT(patterns.input_count() == circuit.pattern_inputs().size(),
+              "fault grading: pattern width does not match circuit");
+  if (compiled == nullptr) {
+    compiled = std::make_shared<const CompiledCircuit>(circuit);
+  }
+  LSIQ_EXPECT(compiled->node_count() == circuit.gate_count(),
+              "fault grading: compiled view does not match the circuit");
+  return compiled;
+}
+
 void grade_class_range(
     const FaultList& faults, const sim::PatternSet& patterns,
     const StrobeSchedule* schedule,
@@ -1016,11 +1010,7 @@ void grade_class_range(
     std::vector<std::int64_t>& first_detection) {
   LSIQ_EXPECT(compiled != nullptr,
               "grade_class_range: compiled view required");
-  const Circuit& circuit = faults.circuit();
-  LSIQ_EXPECT(compiled->node_count() == circuit.gate_count(),
-              "grade_class_range: compiled view does not match the circuit");
-  LSIQ_EXPECT(patterns.input_count() == circuit.pattern_inputs().size(),
-              "grade_class_range: pattern width does not match circuit");
+  grading_view(faults, patterns, compiled);  // checks only: non-null view
   LSIQ_EXPECT(class_begin <= class_end && class_end <= faults.class_count(),
               "grade_class_range: class range out of bounds");
   LSIQ_EXPECT(first_detection.size() == faults.class_count(),
@@ -1046,50 +1036,40 @@ void grade_class_range(
   }
 }
 
+namespace {
+
+/// simulate_ppsfp / simulate_ppsfp_mt: every class graded in one range.
+FaultSimResult grade_all_classes(
+    const FaultList& faults, const sim::PatternSet& patterns,
+    const StrobeSchedule* schedule,
+    std::shared_ptr<const CompiledCircuit> compiled, std::size_t width,
+    bool use_pool, std::size_t num_threads) {
+  FaultSimResult result;
+  result.first_detection.assign(faults.class_count(), -1);
+  grade_class_range(faults, patterns, schedule,
+                    grading_view(faults, patterns, std::move(compiled)),
+                    width, use_pool, num_threads, 0, faults.class_count(),
+                    result.first_detection);
+  result.finalize(faults);
+  return result;
+}
+
+}  // namespace
+
 FaultSimResult simulate_ppsfp(
     const FaultList& faults, const sim::PatternSet& patterns,
     const StrobeSchedule* schedule,
     std::shared_ptr<const CompiledCircuit> compiled, std::size_t width) {
-  const Circuit& circuit = faults.circuit();
-  LSIQ_EXPECT(patterns.input_count() == circuit.pattern_inputs().size(),
-              "simulate_ppsfp: pattern width does not match circuit");
-  // One compiled view shared by the good-machine simulator and the
-  // propagator; a caller-supplied view skips recompilation entirely.
-  if (compiled == nullptr) {
-    compiled = std::make_shared<const CompiledCircuit>(circuit);
-  }
-  LSIQ_EXPECT(compiled->node_count() == circuit.gate_count(),
-              "simulate_ppsfp: compiled view does not match the circuit");
-
-  FaultSimResult result;
-  result.first_detection.assign(faults.class_count(), -1);
-  grade_class_range(faults, patterns, schedule, compiled, width,
-                    /*use_pool=*/false, 1, 0, faults.class_count(),
-                    result.first_detection);
-  finalize_result(faults, result);
-  return result;
+  return grade_all_classes(faults, patterns, schedule, std::move(compiled),
+                           width, /*use_pool=*/false, 1);
 }
 
 FaultSimResult simulate_ppsfp_mt(
     const FaultList& faults, const sim::PatternSet& patterns,
     const StrobeSchedule* schedule, std::size_t num_threads,
     std::shared_ptr<const CompiledCircuit> compiled, std::size_t width) {
-  const Circuit& circuit = faults.circuit();
-  LSIQ_EXPECT(patterns.input_count() == circuit.pattern_inputs().size(),
-              "simulate_ppsfp_mt: pattern width does not match circuit");
-  if (compiled == nullptr) {
-    compiled = std::make_shared<const CompiledCircuit>(circuit);
-  }
-  LSIQ_EXPECT(compiled->node_count() == circuit.gate_count(),
-              "simulate_ppsfp_mt: compiled view does not match the circuit");
-
-  FaultSimResult result;
-  result.first_detection.assign(faults.class_count(), -1);
-  grade_class_range(faults, patterns, schedule, compiled, width,
-                    /*use_pool=*/true, num_threads, 0, faults.class_count(),
-                    result.first_detection);
-  finalize_result(faults, result);
-  return result;
+  return grade_all_classes(faults, patterns, schedule, std::move(compiled),
+                           width, /*use_pool=*/true, num_threads);
 }
 
 }  // namespace lsiq::fault

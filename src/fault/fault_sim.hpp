@@ -76,7 +76,7 @@ struct FaultSimResult {
 /// PPSFP inner loop, exposed as a reusable handle. Construction allocates
 /// O(gate_count) scratch; detect_word() reuses it across faults via epoch
 /// stamping, so one Propagator should be kept alive for a whole grading
-/// run (the fault dictionary and ATPG confirmation loops do exactly that).
+/// run (the PPSFP engines and the ATPG confirmation loop do exactly that).
 class Propagator {
  public:
   /// Compiles the circuit privately; prefer the shared-view constructor
@@ -93,8 +93,7 @@ class Propagator {
   /// simulate_block. With the stamp present, every detect call verifies
   /// the buffer has not been re-simulated since this sync and fails
   /// loudly (assert + LSIQ_EXPECT) on the classic forgotten-begin_block
-  /// bug; without it the caller is on their own. (The one-shot
-  /// detect_word_for_fault wrappers sync internally.)
+  /// bug; without it the caller is on their own.
   void begin_block(const std::vector<std::uint64_t>& good);
 
   /// Detection word for one fault (bit p = pattern p of the block detects
@@ -220,6 +219,15 @@ FaultSimResult simulate_ppsfp_mt(
     std::shared_ptr<const circuit::CompiledCircuit> compiled = nullptr,
     std::size_t width = 1);
 
+/// The shared prologue of the PPSFP-family engines (simulate_ppsfp,
+/// simulate_ppsfp_mt, simulate_sharded) and of grade_class_range: the
+/// pattern set must be as wide as the circuit's pattern inputs, and
+/// `compiled` — compiled here from faults.circuit() when null — must be a
+/// view of that circuit. Returns the view to grade on.
+std::shared_ptr<const circuit::CompiledCircuit> grading_view(
+    const FaultList& faults, const sim::PatternSet& patterns,
+    std::shared_ptr<const circuit::CompiledCircuit> compiled);
+
 /// The PPSFP-family grading core, exposed for the sharding layer
 /// (fault/shard.hpp): grade collapsed classes [class_begin, class_end) of
 /// `faults` over the whole pattern set and write each graded class's
@@ -237,23 +245,5 @@ void grade_class_range(
     std::size_t width, bool use_pool, std::size_t num_threads,
     std::size_t class_begin, std::size_t class_end,
     std::vector<std::int64_t>& first_detection);
-
-/// Detection words for one fault over one simulated block: bit p is set
-/// when pattern p of the block detects the fault. Convenience wrappers
-/// that build a throwaway Propagator (three O(gate_count) allocations per
-/// call) — grading loops should hold a Propagator instead.
-std::uint64_t detect_word_for_fault(const circuit::Circuit& circuit,
-                                    const Fault& fault,
-                                    const std::vector<std::uint64_t>&
-                                        good_values);
-
-/// Strobe-aware variant: `point_masks` gives, per observed point, the
-/// lanes in which that point is strobed for this block (null = all).
-std::uint64_t detect_word_for_fault(const circuit::Circuit& circuit,
-                                    const Fault& fault,
-                                    const std::vector<std::uint64_t>&
-                                        good_values,
-                                    const std::vector<std::uint64_t>*
-                                        point_masks);
 
 }  // namespace lsiq::fault

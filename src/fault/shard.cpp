@@ -1,5 +1,7 @@
 #include "fault/shard.hpp"
 
+#include <utility>
+
 #include "util/error.hpp"
 #include "util/thread_pool.hpp"
 
@@ -42,15 +44,7 @@ FaultSimResult simulate_sharded(
     const FaultList& faults, const sim::PatternSet& patterns,
     const StrobeSchedule* schedule, const ShardedOptions& options,
     std::shared_ptr<const circuit::CompiledCircuit> compiled) {
-  const circuit::Circuit& circuit = faults.circuit();
-  LSIQ_EXPECT(patterns.input_count() == circuit.pattern_inputs().size(),
-              "simulate_sharded: pattern width does not match circuit");
-  if (compiled == nullptr) {
-    compiled =
-        std::make_shared<const circuit::CompiledCircuit>(circuit);
-  }
-  LSIQ_EXPECT(compiled->node_count() == circuit.gate_count(),
-              "simulate_sharded: compiled view does not match the circuit");
+  compiled = grading_view(faults, patterns, std::move(compiled));
 
   const std::size_t shard_count = options.shards != 0
                                       ? options.shards

@@ -240,13 +240,40 @@ void ResultStore::append(const BatchRecord& record) {
   }
 }
 
+namespace {
+
+/// std::getline bounded by kMaxJsonlLine: reads the next line of `in` into
+/// `line` and returns false at end of input. A longer line is buffered no
+/// further than the cap, read on to its newline, and comes back empty.
+bool read_bounded_line(std::istream& in, std::string& line) {
+  line.clear();
+  std::streambuf& buf = *in.rdbuf();
+  bool read_any = false;
+  bool oversize = false;
+  for (int ch = buf.sbumpc(); ch != std::char_traits<char>::eof();
+       ch = buf.sbumpc()) {
+    read_any = true;
+    if (ch == '\n') break;
+    if (oversize) continue;
+    if (line.size() == kMaxJsonlLine) {
+      oversize = true;
+      line.clear();
+      continue;
+    }
+    line.push_back(static_cast<char>(ch));
+  }
+  return read_any;
+}
+
+}  // namespace
+
 std::map<std::string, BatchRecord> load_result_store(
     const std::string& path) {
   std::map<std::string, BatchRecord> records;
   std::ifstream in(path);
   if (!in) return records;  // first run: nothing to resume
   std::string line;
-  while (std::getline(in, line)) {
+  while (read_bounded_line(in, line)) {
     if (line.empty()) continue;
     std::optional<BatchRecord> record = BatchRecord::from_jsonl(line);
     if (record.has_value()) records[record->spec] = std::move(*record);

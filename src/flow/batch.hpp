@@ -279,9 +279,16 @@ class ResultStore {
   std::mutex mutex_;
 };
 
+/// The longest JSONL line a reader accepts (1 MiB): a result-store record
+/// on reload here, a daemon request line in service::kMaxRequestLine.
+/// Real lines are a few kilobytes; a longer one is skipped or refused
+/// instead of being buffered whole.
+inline constexpr std::size_t kMaxJsonlLine = std::size_t{1} << 20;
+
 /// Last record per spec from an existing store; unparsable (torn) lines
-/// are skipped, so a store killed mid-write still loads. Missing file =
-/// empty map (first run).
+/// and lines longer than kMaxJsonlLine are skipped, so a store killed
+/// mid-write or corrupted still loads. Missing file = empty map (first
+/// run).
 std::map<std::string, BatchRecord> load_result_store(const std::string& path);
 
 /// FNV-1a over the spec file's bytes; 0 when the file cannot be read (a

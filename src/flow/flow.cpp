@@ -69,7 +69,13 @@ double FlowResult::final_coverage() const {
 }
 
 std::vector<quality::CoveragePoint> FlowResult::points() const {
-  return wafer::coverage_points(table);
+  std::vector<quality::CoveragePoint> pts;
+  pts.reserve(table.size());
+  for (const wafer::StrobeRow& row : table) {
+    pts.push_back(
+        quality::CoveragePoint{row.actual_coverage, row.cumulative_fraction});
+  }
+  return pts;
 }
 
 CheckOutcome check_detailed(const fault::FaultList& faults,

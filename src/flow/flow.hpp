@@ -17,11 +17,11 @@
 
 #include "analyze/rule.hpp"
 #include "bist/result.hpp"
+#include "core/estimation.hpp"
 #include "fault/coverage.hpp"
 #include "fault/fault_list.hpp"
 #include "fault/fault_sim.hpp"
 #include "flow/spec.hpp"
-#include "wafer/experiment.hpp"
 #include "wafer/tester.hpp"
 
 namespace lsiq::analyze {
@@ -95,8 +95,8 @@ struct FlowResult {
 };
 
 /// Materialize the pattern program of a source axis on its own — for
-/// callers that need the program but not the rest of the flow (the fault
-/// dictionary in examples/fault_diagnosis.cpp, pattern-file tooling).
+/// callers that need the program but not the rest of the flow
+/// (flowbench/replay.cpp, which times each stage on its own).
 /// For "atpg" sources `atpg_out`, when non-null, receives the generation
 /// statistics.
 sim::PatternSet make_patterns(

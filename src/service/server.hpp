@@ -41,11 +41,12 @@
 
 namespace lsiq::service {
 
-/// The longest request line a connection may send (1 MiB). Real requests
-/// are a spec path or an inline spec of a few kilobytes; a stream that
-/// runs past the cap without a newline is answered with a structured
-/// parse error and closed instead of growing the daemon's memory.
-inline constexpr std::size_t kMaxRequestLine = std::size_t{1} << 20;
+/// The longest request line a connection may send — the same 1 MiB bound
+/// the result-store journal is reloaded under. Real requests are a spec
+/// path or an inline spec of a few kilobytes; a stream that runs past the
+/// cap without a newline is answered with a structured parse error and
+/// closed instead of growing the daemon's memory.
+inline constexpr std::size_t kMaxRequestLine = flow::kMaxJsonlLine;
 
 struct SocketServerOptions {
   /// Concurrent-connection bound; connection max_connections + 1 gets a

@@ -48,6 +48,15 @@ struct LotTestResult {
   [[nodiscard]] double fraction_failed_within(std::size_t patterns) const;
 };
 
+/// One row of a Table-1-style strobe readout (flow::FlowResult::table).
+struct StrobeRow {
+  double target_coverage = 0.0;   ///< the requested strobe (Table 1 col. 1)
+  double actual_coverage = 0.0;   ///< curve value at the strobe pattern
+  std::size_t pattern_index = 0;  ///< patterns applied up to the strobe
+  std::size_t cumulative_failed = 0;
+  double cumulative_fraction = 0.0;
+};
+
 /// Test every chip of the lot against an ordered pattern set, using the
 /// per-class first-detection indices from a completed fault simulation.
 /// A chip's first failing pattern is the earliest first-detection among

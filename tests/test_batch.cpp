@@ -9,6 +9,7 @@
 #include <filesystem>
 #include <fstream>
 #include <latch>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
@@ -424,6 +425,44 @@ TEST_F(BatchTest, CrashBeforeRecordCommitThenResume) {
 
   BatchOptions fresh = fast_options();
   const BatchResult reference = run_batch(specs, fresh);
+  EXPECT_EQ(resumed.canonical(), reference.canonical());
+}
+
+TEST_F(BatchTest, OversizeJournalLineIsSkippedOnReload) {
+  // A corrupt 2 MiB newline-free line between two valid records must cost
+  // the reload neither the records around it nor memory past the line
+  // cap. An over-cap line is skipped even when it would parse: the final,
+  // unterminated record below is well-formed JSON but 2 MiB long.
+  std::vector<std::string> specs = {write_spec("a.spec"),
+                                    write_spec("b.spec")};
+  BatchOptions options = fast_options();
+  options.checkpoint = checkpoint_path();
+  const BatchResult reference = run_batch(specs, options);
+  ASSERT_EQ(reference.ok_count, 2u);
+
+  std::vector<std::string> lines;
+  {
+    std::ifstream in(checkpoint_path());
+    std::string line;
+    while (std::getline(in, line)) lines.push_back(line);
+  }
+  ASSERT_EQ(lines.size(), 2u);
+  BatchRecord huge;
+  huge.spec = "huge.spec";
+  huge.status = "failed";
+  huge.error = std::string(2 * kMaxJsonlLine, 'e');
+  {
+    std::ofstream out(checkpoint_path(), std::ios::trunc);
+    out << lines[0] << "\n" << std::string(2 * kMaxJsonlLine, 'x') << "\n"
+        << lines[1] << "\n" << huge.to_jsonl();
+  }
+
+  const std::map<std::string, BatchRecord> loaded =
+      load_result_store(checkpoint_path());
+  EXPECT_EQ(loaded.size(), 2u);
+  EXPECT_EQ(loaded.count("huge.spec"), 0u);
+  const BatchResult resumed = run_batch(specs, options);
+  EXPECT_EQ(resumed.resumed_count, 2u);
   EXPECT_EQ(resumed.canonical(), reference.canonical());
 }
 

@@ -228,9 +228,13 @@ TEST(FaultSim, DetectWordForFaultMatchesSingleLane) {
     p.append({true, false, false, false, false});
     return simulate_serial(faults, p);
   }();
+  // One Propagator held across every class of the block, as the engines
+  // use it.
+  Propagator propagator(good.compiled());
+  propagator.begin_block(good.values());
   for (std::size_t cl = 0; cl < faults.class_count(); ++cl) {
-    const std::uint64_t word = detect_word_for_fault(
-        c, faults.representatives()[cl], good.values());
+    const std::uint64_t word =
+        propagator.detect_word(faults.representatives()[cl], good.values());
     EXPECT_EQ((word & 1ULL) != 0, oracle.first_detection[cl] == 0)
         << fault_name(c, faults.representatives()[cl]);
   }

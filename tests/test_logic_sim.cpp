@@ -1,9 +1,10 @@
-// Tests for the parallel-pattern and event-driven logic simulators,
-// including the cross-check property between the two engines.
+// Tests for the parallel-pattern logic simulator, including a cross-check
+// against the five-valued simulator PODEM evaluates with — an independent
+// code path (pointer-per-pin netlist, topological pass, no compiled view).
 #include <gtest/gtest.h>
 
 #include "circuit/generators.hpp"
-#include "sim/event_sim.hpp"
+#include "sim/five_value_sim.hpp"
 #include "sim/parallel_sim.hpp"
 #include "sim/pattern.hpp"
 #include "util/error.hpp"
@@ -115,46 +116,43 @@ TEST(ParallelSim, RejectsWrongInputWordCount) {
   EXPECT_THROW(sim.simulate_block({0, 0}), ContractViolation);
 }
 
-TEST(EventSim, MatchesParallelOnC17Exhaustively) {
+/// The five-valued simulator only implies with a fault injected, but its
+/// good rail never reads the fault: with any stem fault that rail is the
+/// fault-free machine.
+FiveValueSimulator good_rail_simulator(const Circuit& c) {
+  FiveValueSimulator fsim(c);
+  fsim.set_fault(c.pattern_inputs().front(), -1, false);
+  return fsim;
+}
+
+/// Every gate's lane-0 value from `psim` after one fully specified pattern
+/// must equal the good rail of the five-valued simulator.
+void expect_matches_five_value(const Circuit& c, ParallelSimulator& psim,
+                               FiveValueSimulator& fsim,
+                               const std::vector<bool>& in) {
+  std::vector<std::uint64_t> words(in.size());
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    words[i] = in[i] ? 1 : 0;
+    fsim.assign_input(i, in[i] ? Tri::kOne : Tri::kZero);
+  }
+  psim.simulate_block(words);
+  fsim.imply();
+  for (GateId g = 0; g < c.gate_count(); ++g) {
+    const Tri expect = (psim.value(g) & 1) != 0 ? Tri::kOne : Tri::kZero;
+    EXPECT_TRUE(fsim.value(g).good == expect) << "gate " << c.gate(g).name;
+  }
+}
+
+TEST(ParallelSim, MatchesFiveValueOnC17Exhaustively) {
   const Circuit c = circuit::make_c17();
   ParallelSimulator psim(c);
-  EventSimulator esim(c);
+  FiveValueSimulator fsim = good_rail_simulator(c);
   for (std::uint64_t x = 0; x < 32; ++x) {
     std::vector<bool> in(5);
     for (int i = 0; i < 5; ++i) in[i] = ((x >> i) & 1) != 0;
-    const std::vector<bool> expect = psim.simulate_single(in);
-    esim.apply(in);
-    EXPECT_EQ(esim.observed_values(), expect) << "x=" << x;
+    SCOPED_TRACE("x=" + std::to_string(x));
+    expect_matches_five_value(c, psim, fsim, in);
   }
-}
-
-TEST(EventSim, IncrementalSingleBitFlips) {
-  const Circuit c = circuit::make_parity_tree(16);
-  ParallelSimulator psim(c);
-  EventSimulator esim(c);
-
-  std::vector<bool> in(16, false);
-  esim.apply(in);
-  util::Rng rng(9);
-  for (int step = 0; step < 200; ++step) {
-    const std::size_t bit = rng.uniform_below(16);
-    in[bit] = !in[bit];
-    esim.set_input(bit, in[bit]);
-    EXPECT_EQ(esim.observed_values(), psim.simulate_single(in));
-  }
-}
-
-TEST(EventSim, ActivityIsSparseForLocalChanges) {
-  // Flipping one input of a wide parity tree touches one root-to-leaf
-  // path: the event count must be far below gate_count per flip.
-  const Circuit c = circuit::make_parity_tree(64);
-  EventSimulator esim(c);
-  std::vector<bool> in(64, false);
-  esim.apply(in);
-  const std::uint64_t after_init = esim.evaluation_count();
-  esim.set_input(0, true);
-  const std::uint64_t per_flip = esim.evaluation_count() - after_init;
-  EXPECT_LE(per_flip, 8u);  // depth of a 64-leaf balanced tree is 6
 }
 
 class EngineCrossCheck : public ::testing::TestWithParam<std::uint64_t> {};
@@ -167,15 +165,14 @@ TEST_P(EngineCrossCheck, RandomDagsAgreeOnRandomStimuli) {
   const Circuit c = make_random_dag(spec);
 
   ParallelSimulator psim(c);
-  EventSimulator esim(c);
+  FiveValueSimulator fsim = good_rail_simulator(c);
   util::Rng rng(GetParam() * 7919 + 1);
   std::vector<bool> in(c.pattern_inputs().size());
   for (int step = 0; step < 50; ++step) {
     for (std::size_t i = 0; i < in.size(); ++i) {
       in[i] = rng.bernoulli(0.5);
     }
-    esim.apply(in);
-    EXPECT_EQ(esim.observed_values(), psim.simulate_single(in));
+    expect_matches_five_value(c, psim, fsim, in);
   }
 }
 

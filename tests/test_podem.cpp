@@ -30,7 +30,9 @@ bool pattern_detects(const Circuit& c, const Fault& f,
     words[i] = pattern[i] ? 1ULL : 0ULL;
   }
   good.simulate_block(words);
-  return (fault::detect_word_for_fault(c, f, good.values()) & 1ULL) != 0;
+  fault::Propagator propagator(good.compiled());
+  propagator.begin_block(good.values());
+  return (propagator.detect_word(f, good.values()) & 1ULL) != 0;
 }
 
 TEST(Podem, DetectsSimpleStemFault) {

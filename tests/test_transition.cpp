@@ -2,14 +2,13 @@
 // transition universe's restricted collapsing, hand-checked two-pattern
 // launch/capture detections (including the pattern-0 and 64-pattern word
 // boundary cases), serial/PPSFP/PPSFP-MT bit-identity on the transition
-// model, and the launch gating of the dictionary and BIST layers.
+// model, and the launch gating of the BIST layer.
 #include "fault_model/universe.hpp"
 
 #include <gtest/gtest.h>
 
 #include "bist/session.hpp"
 #include "circuit/generators.hpp"
-#include "fault/dictionary.hpp"
 #include "fault/fault_sim.hpp"
 #include "fault/strobe.hpp"
 #include "tpg/atpg.hpp"
@@ -315,28 +314,6 @@ TEST(TransitionDetect, CoverageNeverExceedsStuckAtOnPairedUniverses) {
                                        FaultModel::kTransition);
       EXPECT_LE(t_sa, t_tr);
     }
-  }
-}
-
-TEST(TransitionDictionary, SignaturesMatchTheSerialOracle) {
-  const Circuit c = circuit::make_ripple_carry_adder(4);
-  const FaultList faults = FaultList::transition_universe(c);
-  util::Rng rng(9);
-  PatternSet patterns(c.pattern_inputs().size());
-  patterns.append_random(80, rng);  // spans a block boundary
-
-  const fault::FaultDictionary dictionary =
-      fault::FaultDictionary::build(faults, patterns);
-  const FaultSimResult oracle = fault::simulate_serial(faults, patterns);
-  for (std::size_t cl = 0; cl < faults.class_count(); ++cl) {
-    // First set bit of the dictionary row == the oracle's first detection.
-    std::int64_t first = -1;
-    for (std::size_t t = 0; t < patterns.size() && first < 0; ++t) {
-      if (dictionary.detects(cl, t)) first = static_cast<std::int64_t>(t);
-    }
-    EXPECT_EQ(first, oracle.first_detection[cl])
-        << fault_name(c, faults.representatives()[cl],
-                      FaultModel::kTransition);
   }
 }
 

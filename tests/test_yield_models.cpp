@@ -7,7 +7,6 @@
 
 #include "util/error.hpp"
 #include "util/rng.hpp"
-#include "yield/defect_density.hpp"
 
 namespace lsiq::yield_model {
 namespace {
@@ -133,23 +132,6 @@ TEST(YieldModels, DomainChecks) {
   EXPECT_THROW(defects_per_chip_for_yield(1.5, 0.5), ContractViolation);
 }
 
-TEST(DefectModel, YieldAndShrinkScenario) {
-  // Section 8: shrinking features by 0.7 shrinks area by ~half and raises
-  // yield.
-  const DefectModel model(Process{0.8, 0.5}, 4.0);  // lambda = 3.2
-  EXPECT_NEAR(model.defects_per_chip(), 3.2, 1e-12);
-  const double y0 = model.yield();
-  const DefectModel shrunk = model.shrunk(0.7);
-  EXPECT_NEAR(shrunk.area(), 4.0 * 0.49, 1e-12);
-  EXPECT_GT(shrunk.yield(), y0);
-}
-
-TEST(DefectModel, FromYieldRoundTrip) {
-  const DefectModel model = DefectModel::from_yield(0.07, 2.0, 0.5);
-  EXPECT_NEAR(model.yield(), 0.07, 1e-12);
-  EXPECT_NEAR(model.area(), 2.0, 1e-12);
-}
-
 TEST(ProcessEstimate, RecoversNegativeBinomialParameters) {
   // Sample per-die counts from NB(mean=2, X=0.5) and re-estimate.
   lsiq::util::Rng rng(5);
@@ -205,13 +187,6 @@ TEST(ProcessEstimate, DomainChecks) {
                ContractViolation);
   EXPECT_THROW(estimate_process_from_defect_counts({0, 0, 0}, 1.0),
                ContractViolation);
-}
-
-TEST(DefectModel, DomainChecks) {
-  EXPECT_THROW(DefectModel(Process{-1.0, 0.5}, 1.0), ContractViolation);
-  EXPECT_THROW(DefectModel(Process{1.0, 0.5}, 0.0), ContractViolation);
-  const DefectModel model(Process{1.0, 0.5}, 1.0);
-  EXPECT_THROW((void)model.shrunk(0.0), ContractViolation);
 }
 
 }  // namespace
