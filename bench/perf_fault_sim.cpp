@@ -9,10 +9,12 @@
 // an overnight job, the engineering that made the paper's Section 5
 // procedure practical.
 //
-// Trajectory tracking: regenerate the committed BENCH_fault_sim.json with
+// Trajectory tracking: regenerate the committed BENCH_fault_sim.json from
+// a Release build on a host with at least 4 cores (the JSON context records
+// num_cpus and build_type), running the whole suite as CI does:
 //
-//   ./perf_fault_sim --benchmark_filter='FaultSim|Grade'
-//       --benchmark_out=BENCH_fault_sim.json --benchmark_out_format=json
+//   ./perf_fault_sim --benchmark_out=BENCH_fault_sim.json
+//       --benchmark_out_format=json
 #include <benchmark/benchmark.h>
 
 #include "analyze/analyze.hpp"
@@ -225,13 +227,23 @@ void BM_Podem_PerFault(benchmark::State& state) {
   options.use_implications = assisted;
   if (assisted) options.implications = &engine;
   std::size_t index = 0;
+  double decisions = 0;
+  double backtracks = 0;
   for (auto _ : state) {
     const tpg::PodemResult r = tpg::generate_test(
         c, faults.representatives()[index % faults.class_count()], options);
     benchmark::DoNotOptimize(r.status);
+    decisions += r.decisions;
+    backtracks += r.backtracks;
     ++index;
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+  // The assist's claim is search effort, not time: per fault it prunes
+  // backtracks but pays for the implication lookups.
+  state.counters["decisions_per_fault"] =
+      benchmark::Counter(decisions, benchmark::Counter::kAvgIterations);
+  state.counters["backtracks_per_fault"] =
+      benchmark::Counter(backtracks, benchmark::Counter::kAvgIterations);
   state.SetLabel(assisted ? "alu4, implication-assisted" : "alu4, plain");
 }
 BENCHMARK(BM_Podem_PerFault)->Arg(0)->Arg(1);

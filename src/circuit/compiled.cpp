@@ -91,6 +91,34 @@ CompiledCircuit::CompiledCircuit(const Circuit& circuit) : source_(&circuit) {
   }
 
   build_program();
+  build_ffrs(circuit);
+}
+
+void CompiledCircuit::build_ffrs(const Circuit& circuit) {
+  const std::size_t n = type_.size();
+  std::vector<char> observed(n, 0);
+  for (const GateId point : observed_points_) observed[point] = 1;
+  ffr_stem_.resize(n);
+  ffr_reader_.assign(n, kNoGate);
+  ffr_reader_pin_.assign(n, 0);
+
+  // Reverse topological order: a gate's single reader is placed first, so
+  // a non-stem inherits its reader's stem in the same pass.
+  const auto& order = circuit.topological_order();
+  for (auto it = order.rbegin(); it != order.rend(); ++it) {
+    const GateId id = *it;
+    ffr_stem_[id] = id;
+    if (fanout_count(id) != 1 || observed[id] != 0) continue;
+    const GateId reader = fanout(id)[0];
+    if (static_cast<GateType>(type_[reader]) == GateType::kDff) continue;
+    // Fanouts are listed per pin, so a reader on two pins already counted
+    // twice above: the one fanout pin is the only pin reading `id`.
+    const GateId* pins = fanin(reader);
+    const auto pin = std::find(pins, pins + fanin_count(reader), id) - pins;
+    ffr_stem_[id] = ffr_stem_[reader];
+    ffr_reader_[id] = reader;
+    ffr_reader_pin_[id] = static_cast<std::int32_t>(pin);
+  }
 }
 
 void CompiledCircuit::build_program() {

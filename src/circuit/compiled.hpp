@@ -5,9 +5,10 @@
 // loops that walk it chase a pointer per pin and a bounds-checked accessor
 // per gate. CompiledCircuit freezes the same topology into CSR arrays —
 // one contiguous pin array with per-gate offsets, packed type/level
-// records, the evaluation order with sources stripped, and the
-// observed-point index of every gate — which is what the parallel-pattern
-// simulator and the PPSFP propagator index in their inner loops.
+// records, the evaluation order with sources stripped, the observed-point
+// index of every gate and the fanout-free-region partition — which is what
+// the parallel-pattern simulator and the PPSFP propagator index in their
+// inner loops.
 //
 // Gate ids are unchanged: arrays are indexed by GateId exactly as Circuit
 // is, so values buffers move between the two representations freely.
@@ -121,6 +122,28 @@ class CompiledCircuit {
   /// for DFF captures, and iterates the full point list otherwise.
   [[nodiscard]] std::uint32_t point_index(GateId id) const noexcept {
     return point_index_of_[id];
+  }
+
+  // ---- fanout-free regions ----
+  //
+  // A gate is an FFR stem when it does not have exactly one fanout pin,
+  // is an observed point, or is read by a flip-flop (or by one reader on
+  // several pins). Every other gate has a single reader, so a fault effect
+  // on it leaves its region only by flipping the region's stem — the
+  // partition stem-region PPSFP grades by.
+
+  /// Stem of the fanout-free region containing `id` (`id` itself when it
+  /// is a stem).
+  [[nodiscard]] GateId ffr_stem(GateId id) const noexcept {
+    return ffr_stem_[id];
+  }
+  /// For a non-stem gate: its single reader (kNoGate for a stem).
+  [[nodiscard]] GateId ffr_reader(GateId id) const noexcept {
+    return ffr_reader_[id];
+  }
+  /// For a non-stem gate: the reader's fanin pin the gate drives.
+  [[nodiscard]] std::int32_t ffr_reader_pin(GateId id) const noexcept {
+    return ffr_reader_pin_[id];
   }
 
   /// The circuit this view was compiled from.
@@ -294,6 +317,7 @@ class CompiledCircuit {
   std::vector<std::uint32_t> fanout_offset_;  ///< size node_count()+1
   std::vector<GateId> fanout_;
   void build_program();
+  void build_ffrs(const Circuit& circuit);
 
   std::vector<GateId> eval_order_;
   std::vector<std::uint32_t> eval_level_begin_;  ///< size depth()+2
@@ -303,6 +327,9 @@ class CompiledCircuit {
   std::vector<GateId> pattern_inputs_;
   std::vector<GateId> observed_points_;
   std::vector<std::uint32_t> point_index_of_;
+  std::vector<GateId> ffr_stem_;
+  std::vector<GateId> ffr_reader_;
+  std::vector<std::int32_t> ffr_reader_pin_;
   std::size_t depth_ = 0;
 };
 

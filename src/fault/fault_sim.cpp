@@ -214,45 +214,35 @@ std::uint64_t Propagator::detect_word(
   return detect;
 }
 
-std::uint64_t Propagator::detect_word_resim(
-    const Fault& fault, const std::vector<std::uint64_t>& good_values,
-    const std::vector<std::uint64_t>* point_masks) {
-  check_sync(good_values, "detect_word_resim");
-  const CompiledCircuit& c = *compiled_;
-  const std::uint64_t* good = good_values.data();
-
-  // Site evaluation reads the caller's good array (always clean; work_ may
-  // hold the previous fault's machine at levels >= dirty_level_).
-  std::uint64_t resolved = 0;
-  std::uint64_t faulty_site = 0;
-  if (resolve_site(fault, good, point_masks, &resolved, &faulty_site)) {
-    return resolved;
-  }
-
+void Propagator::resimulate(GateId site, std::uint64_t value) {
   // One flat sweep over the level-sorted suffix recomputes the faulty
-  // machine: gates off the fault's cone re-derive their good values, gates
+  // machine: gates off the site's cone re-derive their good values, gates
   // on it their faulty ones. Starting at min(site level, dirty level)
-  // also overwrites everything the previous fault left behind, which is a
-  // no-op start when faults arrive sorted by non-increasing site level.
-  const GateId site = fault.gate;
+  // also overwrites everything the previous sweep left behind, which is a
+  // no-op start when sites arrive sorted by non-increasing level.
+  const CompiledCircuit& c = *compiled_;
   const std::size_t site_level = c.level(site);
-  const std::size_t start_level = std::min(site_level, dirty_level_);
-  std::uint64_t* work = work_.data();
-  work[site] = faulty_site;
-  c.eval_suffix(start_level, work, site);
+  work_[site] = value;
+  c.eval_suffix(std::min(site_level, dirty_level_), work_.data(), site);
   dirty_level_ = site_level;
+}
+
+void Propagator::clear_source_site(GateId site, const std::uint64_t* good) {
   // A source site (input or flip-flop stem) is never re-evaluated by any
   // later sweep, so its injected value must be cleared by hand; evaluable
-  // sites are overwritten naturally once the next fault's sweep reaches
-  // them. Observation still sees the injected value: source points read
-  // work_ below, and the restore happens after the detect word is built.
-  const bool site_is_source =
-      c.type(site) == GateType::kInput || c.type(site) == GateType::kDff;
+  // sites are overwritten naturally once the next sweep reaches them.
+  const GateType t = compiled_->type(site);
+  if (t == GateType::kInput || t == GateType::kDff) work_[site] = good[site];
+}
 
-  // Observation: untouched points satisfy work == good, so the diff is 0
-  // without any reached-set bookkeeping.
+std::uint64_t Propagator::observe(
+    const std::uint64_t* good,
+    const std::vector<std::uint64_t>* point_masks) const {
+  // Points the last sweep did not reach satisfy work == good, so their
+  // diff is 0 without any reached-set bookkeeping.
+  const std::uint64_t* work = work_.data();
+  const auto& points = compiled_->observed_points();
   std::uint64_t detect = 0;
-  const auto& points = c.observed_points();
   if (point_masks == nullptr) {
     for (std::size_t i = 0; i < points.size(); ++i) {
       detect |= work[points[i]] ^ good[points[i]];
@@ -262,9 +252,66 @@ std::uint64_t Propagator::detect_word_resim(
       detect |= (work[points[i]] ^ good[points[i]]) & (*point_masks)[i];
     }
   }
-  if (site_is_source) {
-    work[site] = good[site];
+  return detect;
+}
+
+std::uint64_t Propagator::detect_word_resim(
+    const Fault& fault, const std::vector<std::uint64_t>& good_values,
+    const std::vector<std::uint64_t>* point_masks) {
+  check_sync(good_values, "detect_word_resim");
+  const std::uint64_t* good = good_values.data();
+
+  // Site evaluation reads the caller's good array (always clean; work_ may
+  // hold the previous sweep's machine at levels >= dirty_level_).
+  std::uint64_t resolved = 0;
+  std::uint64_t faulty_site = 0;
+  if (resolve_site(fault, good, point_masks, &resolved, &faulty_site)) {
+    return resolved;
   }
+  resimulate(fault.gate, faulty_site);
+  const std::uint64_t detect = observe(good, point_masks);
+  clear_source_site(fault.gate, good);
+  return detect;
+}
+
+std::uint64_t Propagator::local_word(
+    const Fault& fault, const std::vector<std::uint64_t>& good_values,
+    const std::vector<std::uint64_t>* point_masks, bool* captured) {
+  check_sync(good_values, "local_word");
+  const CompiledCircuit& c = *compiled_;
+  const std::uint64_t* good = good_values.data();
+
+  std::uint64_t resolved = 0;
+  std::uint64_t value = 0;
+  *captured = false;
+  if (resolve_site(fault, good, point_masks, &resolved, &value)) {
+    // A DFF D-pin capture's word is already final; otherwise the effect
+    // never appears at the site and resolved is 0.
+    *captured = resolved != 0;
+    return resolved;
+  }
+  // Walk the single-reader chain up to the stem: no other pin on the way
+  // can carry the effect, so each step is one gate evaluated against the
+  // good machine with the carried pin forced.
+  GateId at = fault.gate;
+  while (c.ffr_stem(at) != at) {
+    const GateId reader = c.ffr_reader(at);
+    value = c.eval_word_with_pin(reader, good, c.ffr_reader_pin(at), value);
+    at = reader;
+    if (value == good[at]) return 0;  // masked inside the region
+  }
+  return value ^ good[at];
+}
+
+std::uint64_t Propagator::stem_observation(
+    GateId stem, const std::vector<std::uint64_t>& good_values,
+    const std::vector<std::uint64_t>* point_masks) {
+  check_sync(good_values, "stem_observation");
+  const std::uint64_t* good = good_values.data();
+  ++stem_sweeps_;
+  resimulate(stem, ~good[stem]);
+  const std::uint64_t detect = observe(good, point_masks);
+  clear_source_site(stem, good);
   return detect;
 }
 
@@ -303,27 +350,16 @@ std::uint64_t Propagator::point_diff_words(
     return resolved;
   }
 
-  // Same suffix sweep as detect_word_resim (see there for the dirty-level
-  // bookkeeping); only the observation differs — per point instead of OR.
-  const GateId site = fault.gate;
-  const std::size_t site_level = c.level(site);
-  const std::size_t start_level = std::min(site_level, dirty_level_);
-  std::uint64_t* work = work_.data();
-  work[site] = faulty_site;
-  c.eval_suffix(start_level, work, site);
-  dirty_level_ = site_level;
-  const bool site_is_source =
-      c.type(site) == GateType::kInput || c.type(site) == GateType::kDff;
-
+  // Same suffix sweep as detect_word_resim; only the observation differs
+  // — per point instead of OR.
+  resimulate(fault.gate, faulty_site);
   std::uint64_t detect = 0;
   for (std::size_t i = 0; i < points.size(); ++i) {
-    const std::uint64_t diff = work[points[i]] ^ good[points[i]];
+    const std::uint64_t diff = work_[points[i]] ^ good[points[i]];
     diffs[i] = diff;
     detect |= diff;
   }
-  if (site_is_source) {
-    work[site] = good[site];
-  }
+  clear_source_site(fault.gate, good);
   return detect;
 }
 
@@ -425,23 +461,34 @@ class ScheduleMasks {
 };
 
 /// Live-fault work list for the PPSFP engines: every class index in
-/// [class_begin, class_end), sorted by non-increasing fault-site level
-/// (ties in class order). Suffix resimulation sweeps [site level, depth],
-/// so this order makes each fault's sweep exactly overwrite what the
-/// previous fault dirtied — detect words are order-independent, only the
-/// sweep start depends on it.
+/// [class_begin, class_end), sorted by each class's sweep gate — its FFR
+/// stem when `by_stem`, else its fault site — by non-increasing level, then
+/// gate id, then class order. Suffix resimulation sweeps [gate level,
+/// depth], so this order makes each sweep exactly overwrite what the
+/// previous one dirtied, and with `by_stem` it makes every stem's live
+/// classes one contiguous group. Detect words are order-independent; only
+/// the sweep start depends on the order.
 std::vector<std::uint32_t> sorted_live_list(const FaultList& faults,
                                             const CompiledCircuit& compiled,
                                             std::size_t class_begin,
-                                            std::size_t class_end) {
+                                            std::size_t class_end,
+                                            bool by_stem) {
+  const auto sweep_gate = [&](std::uint32_t c) {
+    const GateId site = faults.representatives()[c].gate;
+    return by_stem ? compiled.ffr_stem(site) : site;
+  };
   std::vector<std::uint32_t> live(class_end - class_begin);
   for (std::size_t c = 0; c < live.size(); ++c) {
     live[c] = static_cast<std::uint32_t>(class_begin + c);
   }
   std::stable_sort(live.begin(), live.end(),
                    [&](std::uint32_t a, std::uint32_t b) {
-                     return compiled.level(faults.representatives()[a].gate) >
-                            compiled.level(faults.representatives()[b].gate);
+                     const GateId ga = sweep_gate(a);
+                     const GateId gb = sweep_gate(b);
+                     if (compiled.level(ga) != compiled.level(gb)) {
+                       return compiled.level(ga) > compiled.level(gb);
+                     }
+                     return ga < gb;
                    });
   return live;
 }
@@ -532,11 +579,57 @@ FaultSimResult simulate_serial(const FaultList& faults,
 
 namespace {
 
-/// The classic 64-lane PPSFP engine over one class range — the exact
-/// inner loops simulate_ppsfp / simulate_ppsfp_mt have always run, with
-/// the live list restricted to [class_begin, class_end) and detections
-/// written straight into the caller's first_detection vector.
-void grade_range_narrow(
+/// Stem-region grading of live[first, last) — whole stem groups, in
+/// sorted_live_list(by_stem) order — into detects[first, last). A stem's
+/// observation word is swept at most once, and only when some class of
+/// its group has a nonzero local & block-mask (& launch) word.
+void grade_stem_groups(Propagator& propagator, const FaultList& faults,
+                       const std::uint32_t* live, std::size_t first,
+                       std::size_t last,
+                       const std::vector<std::uint64_t>& good,
+                       std::uint64_t mask,
+                       const std::vector<std::uint64_t>* point_masks,
+                       const fault_model::TwoPatternWindow* window,
+                       std::uint64_t* detects) {
+  const CompiledCircuit& c = *propagator.compiled();
+  GateId stem = circuit::kNoGate;
+  bool swept = false;
+  std::uint64_t observed = 0;
+  for (std::size_t i = first; i < last; ++i) {
+    const Fault& rep = faults.representatives()[live[i]];
+    const GateId rep_stem = c.ffr_stem(rep.gate);
+    if (rep_stem != stem) {
+      stem = rep_stem;
+      swept = false;
+    }
+    std::uint64_t live_lanes = mask;
+    if (window != nullptr) {
+      // No launched lane: the capture cannot matter.
+      live_lanes &= window->launch_mask(fault_line(c, rep), rep.stuck_at_one,
+                                        good.data());
+    }
+    std::uint64_t detect = 0;
+    if (live_lanes != 0) {
+      bool captured = false;
+      detect = propagator.local_word(rep, good, point_masks, &captured) &
+               live_lanes;
+      if (detect != 0 && !captured) {
+        if (!swept) {
+          observed = propagator.stem_observation(stem, good, point_masks);
+          swept = true;
+        }
+        detect &= observed;
+      }
+    }
+    detects[i] = detect;
+  }
+}
+
+/// The 64-lane PPSFP engine over one class range, graded by stem region:
+/// the live list is restricted to [class_begin, class_end), kept in stem
+/// groups, and detections are written straight into the caller's
+/// first_detection vector. Returns the stem sweeps performed.
+std::size_t grade_range_narrow(
     const FaultList& faults, const sim::PatternSet& patterns,
     const StrobeSchedule* schedule,
     const std::shared_ptr<const CompiledCircuit>& compiled, bool use_pool,
@@ -553,87 +646,70 @@ void grade_range_narrow(
   fault_model::TwoPatternWindow window(
       transition ? compiled->node_count() : 0);
 
-  // Live list in resimulation order, compacted in place as faults drop.
-  std::vector<std::uint32_t> live =
-      sorted_live_list(faults, *compiled, class_begin, class_end);
+  // Live list in stem-group order, compacted in place as faults drop
+  // (compaction keeps the order, so groups stay contiguous).
+  std::vector<std::uint32_t> live = sorted_live_list(
+      faults, *compiled, class_begin, class_end, /*by_stem=*/true);
+  std::vector<std::uint64_t> detects(live.size(), 0);
 
-  if (!use_pool) {
-    Propagator propagator(compiled);
-    for (std::size_t b = 0; b < patterns.block_count() && !live.empty();
-         ++b) {
-      // Cooperative watchdog checkpoint, once per 64-pattern block (free
-      // when no deadline is active).
-      util::poll_deadline();
-      good_sim.simulate_block(patterns.block_words(b));
-      const std::vector<std::uint64_t>& good = good_sim.values();
-      const std::uint64_t mask = patterns.block_mask(b);
-      const std::vector<std::uint64_t>* point_masks =
-          strobe_masks.for_block(b);
-
-      propagator.begin_block(good);
-      std::size_t kept = 0;
-      for (std::size_t i = 0; i < live.size(); ++i) {
-        const std::uint32_t c = live[i];
-        const Fault& rep = faults.representatives()[c];
-        const std::uint64_t detect =
-            (transition
-                 ? propagator.detect_word_transition(rep, good, window,
-                                                     point_masks)
-                 : propagator.detect_word_resim(rep, good, point_masks)) &
-            mask;
-        if (detect != 0) {
-          first_detection[c] =
-              static_cast<std::int64_t>(b * 64 + std::countr_zero(detect));
-        } else {
-          live[kept++] = c;  // still undetected: keep simulating it
-        }
-      }
-      live.resize(kept);
-      if (transition) window.advance(good);
-    }
-    return;
-  }
-
-  util::ThreadPool pool(num_threads);
-  const std::size_t lanes = pool.size();
+  // Lazily constructed so the single-threaded path spawns no pool.
+  std::unique_ptr<util::ThreadPool> pool;
+  if (use_pool) pool = std::make_unique<util::ThreadPool>(num_threads);
+  const std::size_t lanes = pool != nullptr ? pool->size() : 1;
   std::vector<Propagator> propagators;
   propagators.reserve(lanes);
   for (std::size_t t = 0; t < lanes; ++t) {
     propagators.emplace_back(compiled);
   }
-
-  // Each lane takes a strided slice of the live list — still
-  // non-increasing in site level (the resim fast path), and far better
-  // balanced than contiguous chunks, whose per-fault sweep cost varies
-  // with site level. Detect words are written per live-list slot and
-  // folded into first_detection serially — the result bytes are
-  // independent of thread interleaving by construction.
-  std::vector<std::uint64_t> detects(live.size(), 0);
+  // Start index of every stem group in the live list, plus an end marker.
+  std::vector<std::size_t> groups;
 
   for (std::size_t b = 0; b < patterns.block_count() && !live.empty(); ++b) {
-    // Watchdog checkpoint on the coordinating thread: lanes only run
-    // inside pool.run, so polling here bounds the whole block.
+    // Cooperative watchdog checkpoint on the coordinating thread, once per
+    // 64-pattern block: lanes only run inside pool->run, so polling here
+    // bounds the whole block (free when no deadline is active).
     util::poll_deadline();
     good_sim.simulate_block(patterns.block_words(b));
     const std::vector<std::uint64_t>& good = good_sim.values();
     const std::uint64_t mask = patterns.block_mask(b);
     const std::vector<std::uint64_t>* point_masks = strobe_masks.for_block(b);
-
+    const fault_model::TwoPatternWindow* launch =
+        transition ? &window : nullptr;
     const std::size_t live_count = live.size();
-    pool.run([&](std::size_t lane) {
-      if (lane >= live_count) return;
-      Propagator& propagator = propagators[lane];
-      propagator.begin_block(good);
-      for (std::size_t i = lane; i < live_count; i += lanes) {
-        const Fault& rep = faults.representatives()[live[i]];
-        detects[i] =
-            (transition
-                 ? propagator.detect_word_transition(rep, good, window,
-                                                     point_masks)
-                 : propagator.detect_word_resim(rep, good, point_masks)) &
-            mask;
+
+    if (pool == nullptr) {
+      propagators[0].begin_block(good);
+      grade_stem_groups(propagators[0], faults, live.data(), 0, live_count,
+                        good, mask, point_masks, launch, detects.data());
+    } else {
+      // Each lane takes a strided slice of whole stem groups — still
+      // non-increasing in stem level (the resim fast path), each stem
+      // swept by one lane only, and far better balanced than contiguous
+      // chunks. Detect words are written per live-list slot and folded
+      // below serially, so the result bytes are independent of thread
+      // interleaving by construction.
+      groups.clear();
+      for (std::size_t i = 0; i < live_count; ++i) {
+        if (i == 0 || compiled->ffr_stem(
+                          faults.representatives()[live[i]].gate) !=
+                          compiled->ffr_stem(
+                              faults.representatives()[live[i - 1]].gate)) {
+          groups.push_back(i);
+        }
       }
-    });
+      const std::size_t group_count = groups.size();
+      groups.push_back(live_count);
+      pool->run([&](std::size_t lane) {
+        if (lane >= group_count) return;
+        Propagator& propagator = propagators[lane];
+        propagator.begin_block(good);
+        for (std::size_t g = lane; g < group_count; g += lanes) {
+          grade_stem_groups(propagator, faults, live.data(), groups[g],
+                            groups[g + 1], good, mask, point_masks, launch,
+                            detects.data());
+        }
+      });
+    }
 
     // Per-block fault-drop compaction, in live-list order.
     std::size_t kept = 0;
@@ -648,6 +724,12 @@ void grade_range_narrow(
     live.resize(kept);
     if (transition) window.advance(good);
   }
+
+  std::size_t stem_sweeps = 0;
+  for (const Propagator& propagator : propagators) {
+    stem_sweeps += propagator.stem_sweeps();
+  }
+  return stem_sweeps;
 }
 
 // ---- wide kernel ----
@@ -807,8 +889,8 @@ void grade_range_wide(
   fault_model::WideTwoPatternWindow<N> window(
       transition ? c.node_count() : 0);
 
-  std::vector<std::uint32_t> live =
-      sorted_live_list(faults, c, class_begin, class_end);
+  std::vector<std::uint32_t> live = sorted_live_list(
+      faults, c, class_begin, class_end, /*by_stem=*/false);
   std::vector<Word> detects(live.size(), Word{});
 
   // Lazily constructed so the single-threaded path spawns no pool.
@@ -1001,7 +1083,7 @@ std::shared_ptr<const CompiledCircuit> grading_view(
   return compiled;
 }
 
-void grade_class_range(
+std::size_t grade_class_range(
     const FaultList& faults, const sim::PatternSet& patterns,
     const StrobeSchedule* schedule,
     const std::shared_ptr<const CompiledCircuit>& compiled,
@@ -1017,20 +1099,19 @@ void grade_class_range(
               "grade_class_range: first_detection must cover every class");
   switch (width) {
     case 1:
-      grade_range_narrow(faults, patterns, schedule, compiled, use_pool,
-                         num_threads, class_begin, class_end,
-                         first_detection);
-      return;
+      return grade_range_narrow(faults, patterns, schedule, compiled,
+                                use_pool, num_threads, class_begin, class_end,
+                                first_detection);
     case 4:
       grade_range_wide<4>(faults, patterns, schedule, compiled, use_pool,
                           num_threads, class_begin, class_end,
                           first_detection);
-      return;
+      return 0;
     case 8:
       grade_range_wide<8>(faults, patterns, schedule, compiled, use_pool,
                           num_threads, class_begin, class_end,
                           first_detection);
-      return;
+      return 0;
     default:
       throw ContractViolation("grade_class_range: width must be 1, 4, or 8");
   }
@@ -1046,10 +1127,10 @@ FaultSimResult grade_all_classes(
     bool use_pool, std::size_t num_threads) {
   FaultSimResult result;
   result.first_detection.assign(faults.class_count(), -1);
-  grade_class_range(faults, patterns, schedule,
-                    grading_view(faults, patterns, std::move(compiled)),
-                    width, use_pool, num_threads, 0, faults.class_count(),
-                    result.first_detection);
+  result.stem_sweeps = grade_class_range(
+      faults, patterns, schedule,
+      grading_view(faults, patterns, std::move(compiled)), width, use_pool,
+      num_threads, 0, faults.class_count(), result.first_detection);
   result.finalize(faults);
   return result;
 }

@@ -16,18 +16,28 @@
 //
 //   * simulate_ppsfp — parallel-pattern single-fault propagation, the
 //     production engine (same family of techniques as the paper's LAMP
-//     runs): good-machine simulation once per 64-pattern block, then for
-//     each still-undetected fault an event-driven faulty re-simulation
-//     forward from the fault site only, with fault dropping. Runs on the
-//     compiled netlist (circuit/compiled.hpp), not the pointer-per-pin
-//     Circuit container.
+//     runs), on the compiled netlist (circuit/compiled.hpp): good-machine
+//     simulation once per 64-pattern block, then stem-region grading with
+//     fault dropping (Waicukauski et al., "Fault simulation for structured
+//     VLSI", 1985). Inside a fanout-free region a fault reaches the outputs
+//     only by flipping the region's stem, so per block each live class
+//     costs one cheap walk up its region to the stem (its *local word*:
+//     the lanes where the stem flips), and each stem with a live class
+//     whose local word survives the block mask costs one levelized suffix
+//     resimulation with the stem inverted (its *observation word*). A
+//     class is detected in the lanes of local AND observation — one sweep
+//     per live stem, not one per live class.
 //
 //   * simulate_ppsfp_mt — the same computation fanned out over a
 //     persistent worker pool: each thread owns a Propagator and grades a
-//     strided slice of the live-fault list per block (stride keeps the
-//     per-lane work balanced, since per-fault cost varies with fault-site
-//     level). Per-fault detect words do not depend on evaluation order,
-//     so the result is bit-identical to simulate_ppsfp.
+//     strided slice of the live list's stem groups per block (a group is
+//     every live class of one stem, so each stem is swept by one lane at
+//     most once; the stride keeps per-lane work balanced, since sweep cost
+//     varies with stem level). Detect words do not depend on evaluation
+//     order, so the result is bit-identical to simulate_ppsfp.
+//
+// The wide kernel (grade_width 4 / 8), BIST signature grading and ATPG keep
+// the per-fault Propagator kernels.
 //
 // All return, per collapsed fault class, the index of the first pattern
 // that detects it — the raw material for coverage curves (Section 5) and
@@ -62,6 +72,11 @@ struct FaultSimResult {
   /// Final coverage f = covered_faults / N over the full universe.
   double coverage = 0.0;
 
+  /// Stem-observation sweeps the run performed (width-1 PPSFP engines;
+  /// 0 for simulate_serial and the wide kernel). An engine counter, like a
+  /// wall time: it describes the work, not the answer.
+  std::size_t stem_sweeps = 0;
+
   /// Cumulative coverage versus pattern count.
   [[nodiscard]] CoverageCurve curve(const FaultList& faults,
                                     std::size_t pattern_count) const;
@@ -72,11 +87,22 @@ struct FaultSimResult {
   void finalize(const FaultList& faults);
 };
 
-/// Event-driven faulty-machine propagation over one 64-pattern block — the
-/// PPSFP inner loop, exposed as a reusable handle. Construction allocates
-/// O(gate_count) scratch; detect_word() reuses it across faults via epoch
-/// stamping, so one Propagator should be kept alive for a whole grading
-/// run (the PPSFP engines and the ATPG confirmation loop do exactly that).
+/// Faulty-machine propagation over one 64-pattern block — the PPSFP inner
+/// loop, exposed as a reusable handle. Two families of entry points share
+/// one scratch:
+///
+///   * per fault: detect_word (event-driven wave), detect_word_resim /
+///     detect_word_transition / point_diff_words (levelized suffix
+///     resimulation from the fault site) — used by ATPG, BIST and the wide
+///     kernel's warm-up;
+///   * per fanout-free region: local_word (the fault's effect at its FFR
+///     stem, walked up the region without a sweep) and stem_observation
+///     (one suffix resimulation with the stem inverted) — what the width-1
+///     grading engines use. local_word & stem_observation equals
+///     detect_word_resim for every fault a sweep would grade.
+///
+/// Construction allocates O(gate_count) scratch, reused across faults, so
+/// one Propagator should be kept alive for a whole grading run.
 class Propagator {
  public:
   /// Compiles the circuit privately; prefer the shared-view constructor
@@ -147,6 +173,35 @@ class Propagator {
                                  const std::vector<std::uint64_t>& good,
                                  std::vector<std::uint64_t>& diffs);
 
+  /// Stem-region kernel, first half: the fault's effect at its FFR stem
+  /// (CompiledCircuit::ffr_stem) — bit p set when pattern p of the block
+  /// flips the stem. The site word is walked up the region's single-reader
+  /// chain with no sweep, stopping early once it equals the good value.
+  /// A DFF D-pin branch fault bypasses logic: `*captured` is set and the
+  /// returned word is already its final detect word (point masks applied),
+  /// exactly as detect_word_resim resolves it. Same begin_block contract
+  /// as detect_word.
+  std::uint64_t local_word(const Fault& fault,
+                           const std::vector<std::uint64_t>& good,
+                           const std::vector<std::uint64_t>* point_masks,
+                           bool* captured);
+
+  /// Stem-region kernel, second half: the lanes in which inverting `stem`
+  /// is seen at an observed point (under `point_masks`, null = full
+  /// observability). One suffix resimulation from the stem's level, with
+  /// the same dirty-level bookkeeping and call-ordering advice as
+  /// detect_word_resim. A fault's detect word is local_word &
+  /// stem_observation of its stem. Counted in stem_sweeps().
+  std::uint64_t stem_observation(circuit::GateId stem,
+                                 const std::vector<std::uint64_t>& good,
+                                 const std::vector<std::uint64_t>*
+                                     point_masks = nullptr);
+
+  /// stem_observation calls made through this Propagator.
+  [[nodiscard]] std::size_t stem_sweeps() const noexcept {
+    return stem_sweeps_;
+  }
+
   [[nodiscard]] const std::shared_ptr<const circuit::CompiledCircuit>&
   compiled() const noexcept {
     return compiled_;
@@ -162,6 +217,16 @@ class Propagator {
                     std::uint64_t* result, std::uint64_t* faulty_site) const;
   void schedule_fanout(circuit::GateId id);
   void sweep_clean(const std::uint64_t* good);
+  /// Suffix resimulation core: inject `value` at `site`, re-evaluate every
+  /// gate from min(site level, dirty level) up, and mark the site level
+  /// dirty. Observe, then clear_source_site, before the next injection.
+  void resimulate(circuit::GateId site, std::uint64_t value);
+  void clear_source_site(circuit::GateId site, const std::uint64_t* good);
+  /// OR over observed points of (work ^ good), masked per point when
+  /// `point_masks` is non-null.
+  [[nodiscard]] std::uint64_t observe(
+      const std::uint64_t* good,
+      const std::vector<std::uint64_t>* point_masks) const;
   /// Stale-sync guard run by every detect entry point: `good` must be the
   /// buffer last passed to begin_block, un-resimulated since (verified via
   /// the trailing epoch stamp when the buffer carries one).
@@ -173,12 +238,14 @@ class Propagator {
   std::vector<std::vector<circuit::GateId>> buckets_;
   std::vector<circuit::GateId> touched_;
   std::size_t max_level_ = 0;
-  /// Shared scratch of both kernels: the good-machine view of the current
+  /// Shared scratch of every kernel: the good-machine view of the current
   /// block. detect_word writes its wave here and restores it via touched_
-  /// before returning; detect_word_resim leaves its machine in place at
-  /// levels >= dirty_level_ and lets the next sweep overwrite it.
+  /// before returning; the suffix sweeps (resimulate) leave their machine
+  /// in place at levels >= dirty_level_ and let the next sweep overwrite
+  /// it.
   std::vector<std::uint64_t> work_;
   std::size_t dirty_level_ = 0;
+  std::size_t stem_sweeps_ = 0;
   bool block_synced_ = false;
   /// Block epoch of the stamped buffer last seen by begin_block;
   /// 0 when that buffer carried no stamp (epochs start at 1).
@@ -199,7 +266,7 @@ FaultSimResult simulate_serial(const FaultList& faults,
 /// model) artifact cache passes it so N specs over one circuit compile
 /// once. `width` in {1, 4, 8} selects the grading word: width w grades
 /// w*64 patterns per good-machine pass through the sim::WideWord kernel
-/// (width 1 is the classic uint64_t path). Results are bit-identical for
+/// with per-fault sweeps (width 1 is the stem-region uint64_t path). Results are bit-identical for
 /// every width and with or without a caller-supplied compiled view.
 FaultSimResult simulate_ppsfp(
     const FaultList& faults, const sim::PatternSet& patterns,
@@ -207,12 +274,12 @@ FaultSimResult simulate_ppsfp(
     std::shared_ptr<const circuit::CompiledCircuit> compiled = nullptr,
     std::size_t width = 1);
 
-/// Multi-threaded PPSFP: per block, the live-fault list is partitioned
-/// across `num_threads` workers (resolved by util::resolve_worker_count;
-/// 0 = one per hardware thread), each with its own Propagator; fault
-/// dropping compacts the list after every block. Bit-identical to
-/// simulate_ppsfp and simulate_serial. `compiled` and `width` as in
-/// simulate_ppsfp.
+/// Multi-threaded PPSFP: per block, the live list's stem groups are
+/// partitioned across `num_threads` workers (resolved by
+/// util::resolve_worker_count; 0 = one per hardware thread), each with its
+/// own Propagator; fault dropping compacts the list after every block.
+/// Bit-identical to simulate_ppsfp and simulate_serial. `compiled` and
+/// `width` as in simulate_ppsfp.
 FaultSimResult simulate_ppsfp_mt(
     const FaultList& faults, const sim::PatternSet& patterns,
     const StrobeSchedule* schedule = nullptr, std::size_t num_threads = 0,
@@ -238,7 +305,10 @@ std::shared_ptr<const circuit::CompiledCircuit> grading_view(
 /// calling thread; true fans it out over resolve_worker_count(num_threads)
 /// lanes. The bits written are identical for every width / thread / range
 /// split — per-class detect words are pure functions of the patterns.
-void grade_class_range(
+/// Returns the stem-observation sweeps performed (FaultSimResult::
+/// stem_sweeps; 0 for widths 4 and 8). A stem whose classes straddle two
+/// ranges is swept by both, so split ranges may sum to more than one call.
+std::size_t grade_class_range(
     const FaultList& faults, const sim::PatternSet& patterns,
     const StrobeSchedule* schedule,
     const std::shared_ptr<const circuit::CompiledCircuit>& compiled,

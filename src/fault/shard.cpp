@@ -58,17 +58,19 @@ FaultSimResult simulate_sharded(
   // (num_threads), and the shard loop is the seam where MPI ranks or GPU
   // lanes slot in.
   std::vector<std::vector<std::int64_t>> per_shard(plan.shard_count());
+  std::size_t stem_sweeps = 0;
   for (std::size_t s = 0; s < plan.shard_count(); ++s) {
     per_shard[s].assign(faults.class_count(), -1);
     const ShardRange& range = plan.shard(s);
     if (range.size() == 0) continue;
-    grade_class_range(faults, patterns, schedule, compiled, options.width,
-                      use_pool, options.num_threads, range.begin, range.end,
-                      per_shard[s]);
+    stem_sweeps += grade_class_range(
+        faults, patterns, schedule, compiled, options.width, use_pool,
+        options.num_threads, range.begin, range.end, per_shard[s]);
   }
 
   FaultSimResult result;
   result.first_detection = fold_shards(plan, per_shard);
+  result.stem_sweeps = stem_sweeps;
   result.finalize(faults);
   return result;
 }

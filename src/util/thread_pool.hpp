@@ -6,8 +6,9 @@
 // them with a generation counter. Jobs are "lane" shaped: run(fn) executes
 // fn(lane) once per worker, and the caller blocks until every lane has
 // finished. Partitioning work across lanes is the caller's business — the
-// fault simulator gives each lane a strided slice of the live-fault list
-// (and its own propagator, so lanes never share mutable state).
+// fault simulator gives each lane a strided slice of the live list's stem
+// groups, every live class of one fanout-free-region stem together (and
+// its own propagator, so lanes never share mutable state).
 #pragma once
 
 #include <condition_variable>

@@ -17,6 +17,8 @@
 #include <string>
 #include <vector>
 
+#include "circuit/bench_io.hpp"
+#include "circuit/compiled.hpp"
 #include "circuit/generators.hpp"
 #include "fault/fault_list.hpp"
 #include "fault/fault_sim.hpp"
@@ -203,6 +205,92 @@ TEST(EngineEquivalence, AtpgProgramsGradeIdenticallyOnEveryEngine) {
     const tpg::AtpgResult generated = tpg::generate_tests(faults, options);
     ASSERT_GE(generated.patterns.size(), 2u);
     expect_engines_agree(faults, generated.patterns);
+  }
+}
+
+// Every fanout-free-region boundary the stem-region kernel has to get
+// right, one per labelled block: each gate comment names the FFR fact it
+// pins.
+constexpr const char* kStemRegionEdgeCases = R"(
+INPUT(a)
+INPUT(b)
+INPUT(c)
+INPUT(d)
+INPUT(e)
+INPUT(f)
+OUTPUT(po)
+OUTPUT(z)
+OUTPUT(y)
+# g1 is read twice by one reader: a stem, though it has one reader.
+g1 = NAND(a, b)
+twice = AND(g1, g1)
+# po is a primary output that also drives one gate: a stem.
+po = OR(c, d)
+h = XOR(po, twice)
+# dnet has one fanout, a DFF D pin: a stem. Input e sits inside its FFR.
+dnet = NOR(h, e)
+q = DFF(dnet)
+# s fans out to q2's D pin and to t: a DFF D-pin branch fault. Inside s's
+# FFR sit the flip-flop source q and input f.
+s = AND(q, f)
+q2 = DFF(s)
+t = OR(s, b)
+# A constant-fed site at the bottom of a three-gate region rooted at z.
+one = CONST1()
+k = AND(one, q2)
+m = NAND(k, t)
+z = NOT(m)
+y = XNOR(t, a)
+)";
+
+TEST(EngineEquivalence, StemRegionEdgeCases) {
+  const Circuit c = circuit::read_bench_string(kStemRegionEdgeCases,
+                                               "stem_region_edges");
+  const circuit::CompiledCircuit compiled(c);
+  const auto stem_of = [&](const char* name) {
+    return compiled.ffr_stem(c.find(name));
+  };
+  EXPECT_EQ(stem_of("g1"), c.find("g1"));
+  EXPECT_EQ(stem_of("po"), c.find("po"));
+  EXPECT_EQ(stem_of("dnet"), c.find("dnet"));
+  EXPECT_EQ(stem_of("e"), c.find("dnet"));
+  EXPECT_EQ(stem_of("q"), c.find("s"));
+  EXPECT_EQ(stem_of("f"), c.find("s"));
+  EXPECT_EQ(stem_of("one"), c.find("z"));
+  EXPECT_EQ(stem_of("k"), c.find("z"));
+
+  const StrobeSchedule progressive =
+      StrobeSchedule::progressive(c.observed_points().size(), 3);
+  const PatternSet patterns =
+      random_program(c.pattern_inputs().size(), 150, 31337);
+  for (const FaultModel model : {FaultModel::kStuckAt,
+                                 FaultModel::kTransition}) {
+    SCOPED_TRACE(model == FaultModel::kStuckAt ? "stuck_at" : "transition");
+    const FaultList faults = fault_model::universe(c, model);
+    for (const StrobeSchedule* schedule :
+         {static_cast<const StrobeSchedule*>(nullptr), &progressive}) {
+      SCOPED_TRACE(schedule == nullptr ? "full" : "progressive");
+      const FaultSimResult serial =
+          simulate_serial(faults, patterns, schedule);
+      EXPECT_EQ(serial.first_detection,
+                simulate_ppsfp(faults, patterns, schedule).first_detection);
+      for (const std::size_t lanes : {std::size_t{1}, std::size_t{2},
+                                      std::size_t{4}, std::size_t{13}}) {
+        EXPECT_EQ(serial.first_detection,
+                  simulate_ppsfp_mt(faults, patterns, schedule, lanes)
+                      .first_detection)
+            << lanes << " lanes";
+      }
+      for (const std::size_t shards : {std::size_t{1}, std::size_t{2},
+                                       std::size_t{7}}) {
+        ShardedOptions options;
+        options.shards = shards;
+        EXPECT_EQ(serial.first_detection,
+                  simulate_sharded(faults, patterns, schedule, options)
+                      .first_detection)
+            << shards << " shards";
+      }
+    }
   }
 }
 

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "circuit/generators.hpp"
+#include "fault/shard.hpp"
 #include "sim/parallel_sim.hpp"
 #include "tpg/lfsr.hpp"
 #include "util/error.hpp"
@@ -318,6 +319,109 @@ TEST(FaultSimMt, ThreadCountBeyondFaultCountIsSafe) {
   EXPECT_EQ(few.first_detection, many.first_detection);
 }
 
+TEST(FaultSimMt, StemSweepsIndependentOfLaneCount) {
+  // The stem-sweep counter is a pure function of the class range and the
+  // patterns: lanes receive whole stem groups, so no stem is swept twice
+  // per block however the groups are dealt out.
+  const Circuit c = circuit::make_array_multiplier(16);
+  const FaultList faults = FaultList::full_universe(c);
+  const PatternSet patterns =
+      tpg::lfsr_patterns(c.pattern_inputs().size(), 1024, 1981);
+  const circuit::CompiledCircuit compiled(c);
+  std::size_t stems = 0;
+  for (GateId g = 0; g < compiled.node_count(); ++g) {
+    if (compiled.ffr_stem(g) == g) ++stems;
+  }
+  const std::size_t bound = stems * patterns.block_count();
+
+  const FaultSimResult single = simulate_ppsfp(faults, patterns);
+  EXPECT_GT(single.stem_sweeps, 0u);
+  EXPECT_LE(single.stem_sweeps, bound);
+  // The point of stem-region grading: fewer sweeps over the whole program
+  // than the per-fault kernel would spend on its first block alone.
+  EXPECT_LT(single.stem_sweeps, faults.class_count());
+  for (const std::size_t lanes : {std::size_t{1}, std::size_t{2},
+                                  std::size_t{4}, std::size_t{13}}) {
+    const FaultSimResult mt =
+        simulate_ppsfp_mt(faults, patterns, nullptr, lanes);
+    EXPECT_EQ(mt.stem_sweeps, single.stem_sweeps) << lanes << " lanes";
+    EXPECT_EQ(mt.first_detection, single.first_detection);
+  }
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{2},
+                                   std::size_t{7}}) {
+    ShardedOptions options;
+    options.shards = shards;
+    const FaultSimResult sharded =
+        simulate_sharded(faults, patterns, nullptr, options);
+    options.num_threads = 2;
+    const FaultSimResult sharded_mt =
+        simulate_sharded(faults, patterns, nullptr, options);
+    EXPECT_EQ(sharded.stem_sweeps, sharded_mt.stem_sweeps)
+        << shards << " shards";
+    if (shards == 1) {
+      EXPECT_EQ(sharded.stem_sweeps, single.stem_sweeps);
+    }
+    // A stem whose classes straddle a shard boundary is swept once per
+    // shard, never less than once overall.
+    EXPECT_GE(sharded.stem_sweeps, single.stem_sweeps) << shards;
+    EXPECT_LE(sharded.stem_sweeps, shards * bound) << shards;
+    EXPECT_EQ(sharded.first_detection, single.first_detection);
+  }
+  // The wide kernel keeps per-fault sweeps and reports none.
+  EXPECT_EQ(simulate_ppsfp(faults, patterns, nullptr, nullptr, 4).stem_sweeps,
+            0u);
+}
+
+TEST(FaultSimKernels, StemRegionWordsMatchResim) {
+  // local_word & stem_observation of the fault's stem is exactly the
+  // per-fault suffix-resimulation detect word, under full and partial
+  // observation, for stuck-at and transition representatives alike (the
+  // launch gating is applied outside both kernels).
+  std::vector<Circuit> circuits;
+  circuits.push_back(circuit::make_c17());
+  circuits.push_back(circuit::make_alu(4));
+  circuits.push_back(circuit::make_scan_accumulator(6));
+  util::Rng rng(78);
+  for (const Circuit& c : circuits) {
+    const StrobeSchedule schedule =
+        StrobeSchedule::progressive(c.observed_points().size(), 3);
+    std::vector<std::uint64_t> masks(c.observed_points().size());
+    for (const FaultList& faults : {FaultList::full_universe(c),
+                                    FaultList::transition_universe(c)}) {
+      sim::ParallelSimulator good(c);
+      Propagator resim(good.compiled());
+      Propagator stems(good.compiled());
+      const circuit::CompiledCircuit& compiled = *good.compiled();
+      for (std::size_t block = 0; block < 3; ++block) {
+        std::vector<std::uint64_t> words(c.pattern_inputs().size());
+        for (auto& w : words) w = rng.next_u64();
+        good.simulate_block(words);
+        for (std::size_t i = 0; i < masks.size(); ++i) {
+          masks[i] = schedule.lane_mask(i, block);
+        }
+        resim.begin_block(good.values());
+        stems.begin_block(good.values());
+        using Masks = const std::vector<std::uint64_t>*;
+        for (const Masks point_masks : {Masks{nullptr}, Masks{&masks}}) {
+          for (const Fault& fault : faults.representatives()) {
+            bool captured = false;
+            std::uint64_t word =
+                stems.local_word(fault, good.values(), point_masks, &captured);
+            if (word != 0 && !captured) {
+              word &= stems.stem_observation(compiled.ffr_stem(fault.gate),
+                                             good.values(), point_masks);
+            }
+            EXPECT_EQ(word, resim.detect_word_resim(fault, good.values(),
+                                                    point_masks))
+                << c.name() << " " << fault_name(c, fault) << " block "
+                << block;
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(FaultSimKernels, WaveAndResimDetectWordsAgree) {
   // The Propagator's two kernels — event-driven wave and levelized suffix
   // resimulation — must compute identical detect words for every fault,
@@ -372,6 +476,12 @@ TEST(FaultSimKernels, DetectWordRequiresBlockSync) {
   EXPECT_THROW(propagator.detect_word_resim(faults.representatives()[0],
                                             good.values()),
                ContractViolation);
+  bool captured = false;
+  EXPECT_THROW(propagator.local_word(faults.representatives()[0],
+                                     good.values(), nullptr, &captured),
+               ContractViolation);
+  EXPECT_THROW(propagator.stem_observation(0, good.values()),
+               ContractViolation);
   propagator.begin_block(good.values());
   EXPECT_NO_THROW(propagator.detect_word(faults.representatives()[0],
                                          good.values()));
@@ -401,6 +511,8 @@ TEST(FaultSimKernels, DetectWordRejectsStaleBlockSync) {
                ContractViolation);
   EXPECT_THROW(propagator.detect_word_resim(faults.representatives()[0],
                                             good.values()),
+               ContractViolation);
+  EXPECT_THROW(propagator.stem_observation(0, good.values()),
                ContractViolation);
 #else
   // With asserts live the stale sync trips the debug assert first.
