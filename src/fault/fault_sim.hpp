@@ -36,8 +36,9 @@
 //     varies with stem level). Detect words do not depend on evaluation
 //     order, so the result is bit-identical to simulate_ppsfp.
 //
-// The wide kernel (grade_width 4 / 8), BIST signature grading and ATPG keep
-// the per-fault Propagator kernels.
+// BIST signature grading and ATPG keep the per-fault Propagator kernels:
+// they need a fault's own detect or per-point difference words, not just
+// its first detection.
 //
 // All return, per collapsed fault class, the index of the first pattern
 // that detects it — the raw material for coverage curves (Section 5) and
@@ -72,9 +73,9 @@ struct FaultSimResult {
   /// Final coverage f = covered_faults / N over the full universe.
   double coverage = 0.0;
 
-  /// Stem-observation sweeps the run performed (width-1 PPSFP engines;
-  /// 0 for simulate_serial and the wide kernel). An engine counter, like a
-  /// wall time: it describes the work, not the answer.
+  /// Stem-observation sweeps the run performed (PPSFP-family engines; 0
+  /// for simulate_serial). An engine counter, like a wall time: it
+  /// describes the work, not the answer.
   std::size_t stem_sweeps = 0;
 
   /// Cumulative coverage versus pattern count.
@@ -93,11 +94,10 @@ struct FaultSimResult {
 ///
 ///   * per fault: detect_word (event-driven wave), detect_word_resim /
 ///     detect_word_transition / point_diff_words (levelized suffix
-///     resimulation from the fault site) — used by ATPG, BIST and the wide
-///     kernel's warm-up;
+///     resimulation from the fault site) — used by ATPG and BIST;
 ///   * per fanout-free region: local_word (the fault's effect at its FFR
 ///     stem, walked up the region without a sweep) and stem_observation
-///     (one suffix resimulation with the stem inverted) — what the width-1
+///     (one suffix resimulation with the stem inverted) — what the
 ///     grading engines use. local_word & stem_observation equals
 ///     detect_word_resim for every fault a sweep would grade.
 ///
@@ -264,10 +264,10 @@ FaultSimResult simulate_serial(const FaultList& faults,
 /// `compiled`, when non-null, must be a compiled view of faults.circuit()
 /// and is used instead of recompiling — the batch runner's per-(circuit,
 /// model) artifact cache passes it so N specs over one circuit compile
-/// once. `width` in {1, 4, 8} selects the grading word: width w grades
-/// w*64 patterns per good-machine pass through the sim::WideWord kernel
-/// with per-fault sweeps (width 1 is the stem-region uint64_t path). Results are bit-identical for
-/// every width and with or without a caller-supplied compiled view.
+/// once. Results are bit-identical with or without a caller-supplied
+/// compiled view. `width` must be 1 (anything else is a
+/// ContractViolation): it exists only until flowbench/replay.cpp stops
+/// passing EngineSpec::grade_width (ROADMAP, engine collapse).
 FaultSimResult simulate_ppsfp(
     const FaultList& faults, const sim::PatternSet& patterns,
     const StrobeSchedule* schedule = nullptr,
@@ -301,19 +301,18 @@ std::shared_ptr<const circuit::CompiledCircuit> grading_view(
 /// first-detection index (or -1) into `first_detection`, which must
 /// already be sized faults.class_count(); entries outside the range are
 /// not touched. `compiled` must be a non-null view of faults.circuit().
-/// `width` in {1, 4, 8}. With `use_pool` false the range grades on the
-/// calling thread; true fans it out over resolve_worker_count(num_threads)
-/// lanes. The bits written are identical for every width / thread / range
-/// split — per-class detect words are pure functions of the patterns.
-/// Returns the stem-observation sweeps performed (FaultSimResult::
-/// stem_sweeps; 0 for widths 4 and 8). A stem whose classes straddle two
-/// ranges is swept by both, so split ranges may sum to more than one call.
+/// With `use_pool` false the range grades on the calling thread; true fans
+/// it out over resolve_worker_count(num_threads) lanes. The bits written
+/// are identical for every thread count and range split — per-class
+/// detect words are pure functions of the patterns. Returns the
+/// stem-observation sweeps performed (FaultSimResult::stem_sweeps). A stem
+/// whose classes straddle two ranges is swept by both, so split ranges may
+/// sum to more than one call.
 std::size_t grade_class_range(
     const FaultList& faults, const sim::PatternSet& patterns,
     const StrobeSchedule* schedule,
     const std::shared_ptr<const circuit::CompiledCircuit>& compiled,
-    std::size_t width, bool use_pool, std::size_t num_threads,
-    std::size_t class_begin, std::size_t class_end,
-    std::vector<std::int64_t>& first_detection);
+    bool use_pool, std::size_t num_threads, std::size_t class_begin,
+    std::size_t class_end, std::vector<std::int64_t>& first_detection);
 
 }  // namespace lsiq::fault

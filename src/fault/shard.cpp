@@ -44,6 +44,8 @@ FaultSimResult simulate_sharded(
     const FaultList& faults, const sim::PatternSet& patterns,
     const StrobeSchedule* schedule, const ShardedOptions& options,
     std::shared_ptr<const circuit::CompiledCircuit> compiled) {
+  LSIQ_EXPECT(options.width == 1,
+              "simulate_sharded: grading is 64-lane; width must be 1");
   compiled = grading_view(faults, patterns, std::move(compiled));
 
   const std::size_t shard_count = options.shards != 0
@@ -63,9 +65,9 @@ FaultSimResult simulate_sharded(
     per_shard[s].assign(faults.class_count(), -1);
     const ShardRange& range = plan.shard(s);
     if (range.size() == 0) continue;
-    stem_sweeps += grade_class_range(
-        faults, patterns, schedule, compiled, options.width, use_pool,
-        options.num_threads, range.begin, range.end, per_shard[s]);
+    stem_sweeps += grade_class_range(faults, patterns, schedule, compiled,
+                                     use_pool, options.num_threads,
+                                     range.begin, range.end, per_shard[s]);
   }
 
   FaultSimResult result;

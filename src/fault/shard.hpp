@@ -7,8 +7,8 @@
 // first_detection vectors folded back into a result bit-identical to one
 // simulate_ppsfp call over the whole range. ShardPlan owns the split,
 // fold_shards the recombination, and simulate_sharded runs the whole
-// in-process loop: shard -> grade (grade_class_range, any width, MT per
-// shard) -> fold -> finalize. This is the seam a later MPI or GPU backend
+// in-process loop: shard -> grade (grade_class_range, MT per shard) ->
+// fold -> finalize. This is the seam a later MPI or GPU backend
 // drops into — replace the in-process grade call per shard, keep the plan
 // and the fold.
 #pragma once
@@ -76,7 +76,9 @@ struct ShardedOptions {
   /// Number of shards; 0 = util::resolve_worker_count(0), one per
   /// hardware thread.
   std::size_t shards = 0;
-  /// Grading word width per shard (1, 4 or 8 — see simulate_ppsfp).
+  /// Must be 1 (anything else is a ContractViolation). Exists only until
+  /// flowbench/replay.cpp stops passing EngineSpec::grade_width (ROADMAP,
+  /// engine collapse).
   std::size_t width = 1;
   /// Worker threads per shard: 1 grades each shard on the calling
   /// thread; any other value (0 = hardware threads) grades each shard
@@ -86,8 +88,8 @@ struct ShardedOptions {
 
 /// Sharded grading: split the collapsed-class range, grade each shard
 /// independently through grade_class_range, fold, finalize. Bit-identical
-/// first_detection to simulate_ppsfp for every shard count, width, and
-/// thread count. `compiled` as in simulate_ppsfp.
+/// first_detection to simulate_ppsfp for every shard count and thread
+/// count. `compiled` as in simulate_ppsfp.
 FaultSimResult simulate_sharded(
     const FaultList& faults, const sim::PatternSet& patterns,
     const StrobeSchedule* schedule = nullptr,

@@ -246,12 +246,10 @@ FlowResult run(const fault::FaultList& faults, const FlowSpec& spec,
                                                 strobes);
     } else if (spec.engine.kind == "ppsfp") {
       result.fault_sim = fault::simulate_ppsfp(faults, result.patterns,
-                                               strobes, compiled,
-                                               spec.engine.grade_width);
+                                               strobes, compiled);
     } else if (spec.engine.kind == "sharded") {
       fault::ShardedOptions options;
       options.shards = spec.engine.shards;
-      options.width = spec.engine.grade_width;
       options.num_threads = spec.engine.num_threads;
       result.fault_sim = fault::simulate_sharded(faults, result.patterns,
                                                  strobes, options, compiled);
@@ -259,8 +257,7 @@ FlowResult run(const fault::FaultList& faults, const FlowSpec& spec,
       result.fault_sim = fault::simulate_ppsfp_mt(faults, result.patterns,
                                                   strobes,
                                                   spec.engine.num_threads,
-                                                  compiled,
-                                                  spec.engine.grade_width);
+                                                  compiled);
     }
     result.curve = result.fault_sim->curve(faults, pattern_count);
   }
@@ -346,9 +343,6 @@ std::string FlowResult::report() const {
                                    ? spec.engine.shards
                                    : util::resolve_worker_count(0);
     out << " (" << shards << " shards)";
-  }
-  if (spec.engine.grade_width != 1) {
-    out << " width=" << spec.engine.grade_width;
   }
   out << "\n  program: " << patterns.size() << " patterns over "
       << patterns.input_count() << " inputs";

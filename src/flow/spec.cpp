@@ -151,27 +151,16 @@ std::vector<SpecIssue> validate(const FlowSpec& spec) {
       add("engine.num_threads",
           "ppsfp is single-threaded; use ppsfp_mt for num_threads > 1");
     }
-    if (engine.grade_width != 1 && engine.grade_width != 4 &&
-        engine.grade_width != 8) {
-      add("engine.grade_width",
-          "grade_width must be 1, 4, or 8, got " +
-              std::to_string(engine.grade_width));
-    } else if (engine.grade_width != 1) {
-      if (engine.kind == "serial") {
-        add("engine.grade_width",
-            "the serial engine has no wide kernel; grade_width requires a "
-            "PPSFP-family engine");
-      }
-      if (misr) {
-        add("engine.grade_width",
-            "misr signature grading is strictly 64-lane; grade_width must "
-            "be 1");
-      }
-    }
     if (engine.shards != 0 && engine.kind != "sharded") {
       add("engine.shards",
           "shards is only meaningful for engine 'sharded'");
     }
+  }
+  if (engine.grade_width != 1) {
+    add("engine.grade_width",
+        "grade_width was removed: grading is 64-lane stem-region PPSFP "
+        "(drop the key), got " +
+            std::to_string(engine.grade_width));
   }
 
   // ---- axis 4: lot + analysis ----

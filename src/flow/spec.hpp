@@ -112,9 +112,11 @@ struct EngineSpec {
   /// convention — 0 = one per hardware thread.
   std::size_t num_threads = 0;
 
-  /// Grading word width in 64-pattern units (1, 4 or 8): width w grades
-  /// w*64 patterns per pass through the sim::WideWord kernel. Ignored by
-  /// "serial"; misr observation is strictly 64-lane and requires 1.
+  /// Removed setting: grading is 64-lane stem-region PPSFP, so the only
+  /// accepted value is 1 and validate() rejects any other with a migration
+  /// diagnostic. Exists only until flowbench/replay.cpp stops passing it
+  /// (ROADMAP, engine collapse). spec_io still parses the key, so old spec
+  /// files get that diagnostic, but never writes it.
   std::size_t grade_width = 1;
 
   /// Shard count for "sharded" (0 = one per hardware thread). Must stay

@@ -135,6 +135,7 @@ void apply_key(SpecFile& file, const std::string& key,
     spec.engine.num_threads =
         static_cast<std::size_t>(parse_unsigned(value, line, key));
   } else if (key == "grade_width") {
+    // Removed setting, still parsed so validate() names the migration.
     spec.engine.grade_width =
         static_cast<std::size_t>(parse_unsigned(value, line, key));
   } else if (key == "shards") {
@@ -264,10 +265,6 @@ std::string write_spec_string(const SpecFile& file) {
   out << "engine = " << spec.engine.kind << "\n";
   if (spec.engine.kind == "ppsfp_mt" || spec.engine.kind == "sharded") {
     out << "threads = " << spec.engine.num_threads << "\n";
-  }
-  // Non-default only, so pre-existing spec files round-trip unchanged.
-  if (spec.engine.grade_width != 1) {
-    out << "grade_width = " << spec.engine.grade_width << "\n";
   }
   if (spec.engine.shards != 0) {
     out << "shards = " << spec.engine.shards << "\n";

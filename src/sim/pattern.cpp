@@ -77,13 +77,6 @@ std::size_t PatternSet::block_count() const noexcept {
   return (pattern_count_ + 63) / 64;
 }
 
-std::uint64_t PatternSet::block_word(std::size_t input,
-                                     std::size_t block) const {
-  LSIQ_EXPECT(input < input_count_, "block_word: input index out of range");
-  LSIQ_EXPECT(block < block_count(), "block_word: block index out of range");
-  return words_[input][block];
-}
-
 std::uint64_t PatternSet::block_mask(std::size_t block) const {
   LSIQ_EXPECT(block < block_count(), "block_mask: block index out of range");
   const std::size_t valid =

@@ -48,10 +48,6 @@ class PatternSet {
   /// Number of 64-pattern blocks (the last one may be partial).
   [[nodiscard]] std::size_t block_count() const noexcept;
 
-  /// Word for `input` in block `block`: bit p = pattern block*64+p.
-  [[nodiscard]] std::uint64_t block_word(std::size_t input,
-                                         std::size_t block) const;
-
   /// Mask of valid lanes in `block` (all-ones except for the final block).
   [[nodiscard]] std::uint64_t block_mask(std::size_t block) const;
 

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <bit>
+#include <memory>
 #include <optional>
 
 #include "analyze/implication.hpp"
+#include "circuit/compiled.hpp"
 #include "fault_model/transition.hpp"
 #include "sim/parallel_sim.hpp"
 #include "util/error.hpp"
@@ -53,6 +55,10 @@ AtpgResult generate_stuck_at_tests(const FaultList& faults,
 
   AtpgResult result{PatternSet(input_count)};
   std::vector<char> detected(faults.class_count(), 0);
+  // One compiled view for the whole run: random-phase grading, the
+  // confirmation simulator and the implication engine all read it.
+  const auto compiled = std::make_shared<const circuit::CompiledCircuit>(
+      circuit);
 
   // ---- Phase 1: random patterns ----
   if (options.random_patterns > 0) {
@@ -60,7 +66,7 @@ AtpgResult generate_stuck_at_tests(const FaultList& faults,
     PatternSet random_set(input_count);
     random_set.append_random(options.random_patterns, rng);
     const FaultSimResult sim_result =
-        fault::simulate_ppsfp(faults, random_set);
+        fault::simulate_ppsfp(faults, random_set, nullptr, compiled);
     // Keep only the patterns that first-detected something (cheap static
     // compaction of the random phase), preserving order.
     std::vector<char> keep(random_set.size(), 0);
@@ -78,15 +84,15 @@ AtpgResult generate_stuck_at_tests(const FaultList& faults,
   }
 
   // ---- Phase 2: PODEM on the survivors, with fault dropping ----
-  sim::ParallelSimulator good_sim(circuit);
-  fault::Propagator propagator(good_sim.compiled());
+  sim::ParallelSimulator good_sim(compiled);
+  fault::Propagator propagator(compiled);
   // One implication engine for the whole run: the static learning pass is
   // per-circuit work, not per-fault work.
   PodemOptions podem_options = options.podem;
   std::optional<analyze::ImplicationEngine> shared_engine;
   if (podem_options.use_implications &&
       podem_options.implications == nullptr) {
-    shared_engine.emplace(*good_sim.compiled());
+    shared_engine.emplace(*compiled);
     podem_options.implications = &*shared_engine;
   }
   std::size_t redundant_faults = 0;  // weighted by class size
@@ -150,6 +156,9 @@ AtpgResult generate_transition_tests(const FaultList& faults,
 
   AtpgResult result{PatternSet(input_count)};
   std::vector<char> detected(faults.class_count(), 0);
+  // One compiled view for the whole run (see generate_stuck_at_tests).
+  const auto compiled = std::make_shared<const circuit::CompiledCircuit>(
+      circuit);
 
   // ---- Phase 1: random patterns, graded as consecutive pairs ----
   if (options.random_patterns > 1) {
@@ -157,7 +166,7 @@ AtpgResult generate_transition_tests(const FaultList& faults,
     PatternSet random_set(input_count);
     random_set.append_random(options.random_patterns, rng);
     const FaultSimResult sim_result =
-        fault::simulate_ppsfp(faults, random_set);
+        fault::simulate_ppsfp(faults, random_set, nullptr, compiled);
     // A first detection at pattern p means the PAIR (p-1, p) detects the
     // class: keep both halves. Kept pairs remain adjacent in the
     // compacted program (dropping patterns between pairs only creates new
@@ -180,21 +189,20 @@ AtpgResult generate_transition_tests(const FaultList& faults,
   }
 
   // ---- Phase 2: two-pattern PODEM on the survivors, with dropping ----
-  sim::ParallelSimulator good_sim(circuit);
-  fault::Propagator propagator(good_sim.compiled());
+  sim::ParallelSimulator good_sim(compiled);
+  fault::Propagator propagator(compiled);
   // Confirmation grades each emitted pair as a standalone 2-pattern
   // block: the window is never advanced, so lane 0 (the launch, which
   // has no predecessor) stays masked and only lane 1 — capture detection
   // gated by the launch — counts.
-  const fault_model::TwoPatternWindow pair_window(
-      propagator.compiled()->node_count());
+  const fault_model::TwoPatternWindow pair_window(compiled->node_count());
   // One implication engine for the whole run, shared by both halves of
   // every pair solve.
   PodemOptions podem_options = options.podem;
   std::optional<analyze::ImplicationEngine> shared_engine;
   if (podem_options.use_implications &&
       podem_options.implications == nullptr) {
-    shared_engine.emplace(*good_sim.compiled());
+    shared_engine.emplace(*compiled);
     podem_options.implications = &*shared_engine;
   }
   std::size_t redundant_faults = 0;  // weighted by class size

@@ -367,9 +367,6 @@ TEST(FaultSimMt, StemSweepsIndependentOfLaneCount) {
     EXPECT_LE(sharded.stem_sweeps, shards * bound) << shards;
     EXPECT_EQ(sharded.first_detection, single.first_detection);
   }
-  // The wide kernel keeps per-fault sweeps and reports none.
-  EXPECT_EQ(simulate_ppsfp(faults, patterns, nullptr, nullptr, 4).stem_sweeps,
-            0u);
 }
 
 TEST(FaultSimKernels, StemRegionWordsMatchResim) {

@@ -149,28 +149,11 @@ const Case kCases[] = {
      [](FlowSpec& s) { s.engine.num_threads = 4; },
      "engine.num_threads",
      "ppsfp is single-threaded; use ppsfp_mt for num_threads > 1"},
-    {"unsupported grade width",
-     [](FlowSpec& s) { s.engine.grade_width = 3; },
+    {"removed grade width",
+     [](FlowSpec& s) { s.engine.grade_width = 4; },
      "engine.grade_width",
-     "grade_width must be 1, 4, or 8, got 3"},
-    {"serial engine with a wide kernel",
-     [](FlowSpec& s) {
-       s.engine.kind = "serial";
-       s.engine.grade_width = 4;
-     },
-     "engine.grade_width",
-     "the serial engine has no wide kernel; grade_width requires a "
-     "PPSFP-family engine"},
-    {"misr observation with a wide kernel",
-     [](FlowSpec& s) {
-       s.observe.kind = "misr";
-       s.engine.kind = "ppsfp_mt";
-       s.engine.grade_width = 8;
-       s.analysis.strobe_coverages.clear();
-     },
-     "engine.grade_width",
-     "misr signature grading is strictly 64-lane; grade_width must "
-     "be 1"},
+     "grade_width was removed: grading is 64-lane stem-region PPSFP (drop "
+     "the key), got 4"},
     {"shards on a non-sharded engine",
      [](FlowSpec& s) { s.engine.shards = 2; },
      "engine.shards",

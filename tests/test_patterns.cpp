@@ -39,10 +39,10 @@ TEST(PatternSet, BlockWordLayout) {
   }
   EXPECT_EQ(p.block_count(), 2u);
   for (int i = 0; i < 64; ++i) {
-    EXPECT_EQ(((p.block_word(0, 0) >> i) & 1) != 0, i % 3 == 0);
+    EXPECT_EQ(((p.block_words(0)[0] >> i) & 1) != 0, i % 3 == 0);
   }
   for (int i = 64; i < 67; ++i) {
-    EXPECT_EQ(((p.block_word(0, 1) >> (i - 64)) & 1) != 0, i % 3 == 0);
+    EXPECT_EQ(((p.block_words(1)[0] >> (i - 64)) & 1) != 0, i % 3 == 0);
   }
 }
 
@@ -68,7 +68,12 @@ TEST(PatternSet, BlockWordsMatchPerInputWords) {
     const auto words = p.block_words(b);
     ASSERT_EQ(words.size(), 5u);
     for (std::size_t i = 0; i < 5; ++i) {
-      EXPECT_EQ(words[i], p.block_word(i, b));
+      for (std::size_t lane = 0; lane < 64; ++lane) {
+        const std::size_t pattern = b * 64 + lane;
+        const bool expected = pattern < p.size() && p.bit(pattern, i);
+        EXPECT_EQ(((words[i] >> lane) & 1) != 0, expected)
+            << "input " << i << " pattern " << pattern;
+      }
     }
   }
 }

@@ -487,6 +487,32 @@ TEST(ServiceProtocol, ErrorResponsesCarryTheTaxonomy) {
 
 // ---- socket round trip ----
 
+/// SocketServer::serve() on its own thread for one test. join() waits for
+/// the server to exit on its own (the tests end with a shutdown request);
+/// if the scope unwinds first — a throwing client call, a failed ASSERT —
+/// the destructor stop()s the server and joins, so the failure reports as
+/// a gtest failure instead of destroying a joinable std::thread
+/// (std::terminate).
+class ServingThread {
+ public:
+  explicit ServingThread(SocketServer& server)
+      : server_(server), thread_([this] { server_.serve(); }) {}
+  ServingThread(const ServingThread&) = delete;
+  ServingThread& operator=(const ServingThread&) = delete;
+  ~ServingThread() {
+    if (thread_.joinable()) {
+      server_.stop();
+      thread_.join();
+    }
+  }
+
+  void join() { thread_.join(); }
+
+ private:
+  SocketServer& server_;
+  std::thread thread_;
+};
+
 TEST_F(ServiceTest, SocketServerRoundTrip) {
   const std::string socket = (dir_ / "flowd.sock").string();
   ServiceOptions options = lane1_options();
@@ -501,7 +527,7 @@ TEST_F(ServiceTest, SocketServerRoundTrip) {
   };
 
   auto server = std::make_unique<SocketServer>(service, socket);
-  std::thread serving([&] { server->serve(); });
+  ServingThread serving(*server);
 
   {
     SocketClient client(socket);
@@ -575,14 +601,19 @@ TEST_F(ServiceTest, AcceptFailpointDropsConnectionNotDaemon) {
   const std::string socket = (dir_ / "flowd.sock").string();
   FlowService service(lane1_options());
   SocketServer server(service, socket);
-  std::thread serving([&] { server.serve(); });
+  ServingThread serving(server);
 
   util::Failpoints::instance().arm_from_string(
       "service.accept=error(io,1)");
   {
-    // First connection is dropped by the injected accept failure.
+    // First connection is dropped by the injected accept failure. The
+    // server may close before the request is written, so a failed send
+    // is part of the expected outcome.
     SocketClient client(socket);
-    client.send_line("{\"op\":\"ping\"}");
+    try {
+      client.send_line("{\"op\":\"ping\"}");
+    } catch (const IoError&) {
+    }
     EXPECT_THROW(client.read_line(), IoError);
   }
   {
@@ -604,7 +635,7 @@ TEST_F(ServiceTest, OverMaxConnectionsGetsStructuredQueueFullRefusal) {
   SocketServerOptions server_options;
   server_options.max_connections = 1;
   SocketServer server(service, socket, server_options);
-  std::thread serving([&] { server.serve(); });
+  ServingThread serving(server);
 
   {
     // The first client claims the only slot (the answered ping proves
@@ -652,7 +683,7 @@ TEST_F(ServiceTest, IdleConnectionGetsStructuredDeadlineRefusal) {
   SocketServerOptions server_options;
   server_options.idle_timeout_ms = 50;
   SocketServer server(service, socket, server_options);
-  std::thread serving([&] { server.serve(); });
+  ServingThread serving(server);
 
   {
     // Connect and send nothing: the idle timer answers with a
@@ -679,7 +710,7 @@ TEST_F(ServiceTest, OverlongRequestLineIsRefusedAndClosed) {
   const std::string socket = (dir_ / "flowd.sock").string();
   FlowService service(lane1_options());
   SocketServer server(service, socket);
-  std::thread serving([&] { server.serve(); });
+  ServingThread serving(server);
 
   {
     // A peer connected before the flood, to prove it is unaffected.
@@ -726,7 +757,7 @@ TEST_F(ServiceTest, AcceptFailpointDoesNotLeakAConnectionSlot) {
   SocketServerOptions server_options;
   server_options.max_connections = 1;
   SocketServer server(service, socket, server_options);
-  std::thread serving([&] { server.serve(); });
+  ServingThread serving(server);
 
   // The failpoint fires after accept() but before the slot claim; the
   // dropped connection must not consume the single slot.
@@ -734,7 +765,10 @@ TEST_F(ServiceTest, AcceptFailpointDoesNotLeakAConnectionSlot) {
       "service.accept=error(io,1)");
   {
     SocketClient dropped(socket);
-    dropped.send_line("{\"op\":\"ping\"}");
+    try {
+      dropped.send_line("{\"op\":\"ping\"}");  // may race the close
+    } catch (const IoError&) {
+    }
     EXPECT_THROW(dropped.read_line(), IoError);
   }
   {

@@ -1,7 +1,7 @@
 // Shard-fold property tests: the balanced split, the pure-scatter fold,
 // and the headline guarantee — simulate_sharded's first_detection is
-// byte-identical to simulate_ppsfp for every shard count, width, fault
-// model, and a pattern program ending in a partial 64-pattern block.
+// byte-identical to simulate_ppsfp for every shard count, fault model, and
+// a pattern program ending in a partial 64-pattern block.
 #include "fault/shard.hpp"
 
 #include <gtest/gtest.h>
@@ -93,21 +93,17 @@ class ShardFold : public ::testing::Test {
 
     for (const std::size_t shards : {std::size_t{1}, std::size_t{2},
                                      std::size_t{7}}) {
-      for (const std::size_t width : {std::size_t{1}, std::size_t{4},
-                                      std::size_t{8}}) {
-        ShardedOptions options;
-        options.shards = shards;
-        options.width = width;
-        const FaultSimResult sharded =
-            simulate_sharded(faults, patterns, nullptr, options);
-        // Byte-identical, not merely equal coverage: the whole
-        // first_detection vector is the contract.
-        EXPECT_EQ(unsharded.first_detection, sharded.first_detection)
-            << shards << " shards, width " << width;
-        EXPECT_EQ(unsharded.covered_faults, sharded.covered_faults);
-        EXPECT_EQ(unsharded.detected_classes, sharded.detected_classes);
-        EXPECT_DOUBLE_EQ(unsharded.coverage, sharded.coverage);
-      }
+      ShardedOptions options;
+      options.shards = shards;
+      const FaultSimResult sharded =
+          simulate_sharded(faults, patterns, nullptr, options);
+      // Byte-identical, not merely equal coverage: the whole
+      // first_detection vector is the contract.
+      EXPECT_EQ(unsharded.first_detection, sharded.first_detection)
+          << shards << " shards";
+      EXPECT_EQ(unsharded.covered_faults, sharded.covered_faults);
+      EXPECT_EQ(unsharded.detected_classes, sharded.detected_classes);
+      EXPECT_DOUBLE_EQ(unsharded.coverage, sharded.coverage);
     }
   }
 
@@ -154,7 +150,6 @@ TEST_F(ShardFold, MultiThreadedShardsFoldByteIdentical) {
   const FaultSimResult unsharded = simulate_ppsfp(faults, patterns);
   ShardedOptions options;
   options.shards = 3;
-  options.width = 4;
   options.num_threads = 4;  // MT engine inside each shard
   const FaultSimResult sharded =
       simulate_sharded(faults, patterns, nullptr, options);
@@ -162,14 +157,28 @@ TEST_F(ShardFold, MultiThreadedShardsFoldByteIdentical) {
 }
 
 TEST(ShardSim, RejectsUnsupportedWidth) {
+  // Grading is 64-lane only: every width but 1 is a contract violation on
+  // every engine.
   const Circuit c = circuit::make_c17();
   const FaultList faults = fault_model::universe(c, FaultModel::kStuckAt);
   const PatternSet patterns =
       tpg::lfsr_patterns(c.pattern_inputs().size(), 64, 1);
-  ShardedOptions options;
-  options.width = 3;
-  EXPECT_THROW((void)simulate_sharded(faults, patterns, nullptr, options),
-               ContractViolation);
+  for (const std::size_t width : {std::size_t{3}, std::size_t{4},
+                                  std::size_t{8}}) {
+    ShardedOptions options;
+    options.width = width;
+    EXPECT_THROW((void)simulate_sharded(faults, patterns, nullptr, options),
+                 ContractViolation)
+        << width;
+    EXPECT_THROW(
+        (void)simulate_ppsfp(faults, patterns, nullptr, nullptr, width),
+        ContractViolation)
+        << width;
+    EXPECT_THROW(
+        (void)simulate_ppsfp_mt(faults, patterns, nullptr, 2, nullptr, width),
+        ContractViolation)
+        << width;
+  }
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "util/error.hpp"
 
@@ -172,6 +173,26 @@ TEST(SpecIo, DefaultAnalyzeKeysAreNotSerialized) {
   EXPECT_EQ(text.find("analyze_"), std::string::npos) << text;
   EXPECT_EQ(text.find("resistant_threshold"), std::string::npos) << text;
   EXPECT_EQ(read_spec_string(text).spec.analyze, AnalyzeSpec{});
+}
+
+TEST(SpecIo, RemovedGradeWidthKeyParsesForTheMigrationDiagnostic) {
+  // grade_width = 1 is still accepted and is never written back.
+  const SpecFile one = read_spec_string("circuit = c17\ngrade_width = 1\n");
+  EXPECT_EQ(one.spec.engine.grade_width, 1u);
+  EXPECT_TRUE(validate(one.spec).empty());
+  const std::string text = write_spec_string(one);
+  EXPECT_EQ(text.find("grade_width"), std::string::npos) << text;
+  EXPECT_EQ(read_spec_string(text).spec, one.spec);
+
+  // An old wide-kernel spec parses, then validate() names the migration
+  // instead of the parser failing on an unknown key.
+  const SpecFile eight = read_spec_string("circuit = c17\ngrade_width = 8\n");
+  const std::vector<SpecIssue> issues = validate(eight.spec);
+  ASSERT_EQ(issues.size(), 1u);
+  EXPECT_EQ(issues[0].field, "engine.grade_width");
+  EXPECT_EQ(issues[0].message,
+            "grade_width was removed: grading is 64-lane stem-region PPSFP "
+            "(drop the key), got 8");
 }
 
 TEST(SpecIo, RoundTripCoversEveryEnumValueOfEveryAxis) {
