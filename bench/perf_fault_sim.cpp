@@ -4,7 +4,7 @@
 //
 // The headline ablation is serial vs PPSFP vs PPSFP-MT: parallel-pattern
 // single-fault propagation with fault dropping on the compiled netlist —
-// optionally fanned out over a worker pool — is why grading a
+// optionally fanned out over worker threads — is why grading a
 // 1000-pattern program on an LSI-scale circuit is interactive rather than
 // an overnight job, the engineering that made the paper's Section 5
 // procedure practical.
@@ -16,6 +16,12 @@
 //   ./perf_fault_sim --benchmark_out=BENCH_fault_sim.json
 //       --benchmark_out_format=json
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
+#include <chrono>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "analyze/analyze.hpp"
 #include "analyze/implication.hpp"
@@ -212,6 +218,48 @@ void BM_GradeSharded(benchmark::State& state) {
 }
 BENCHMARK(BM_GradeSharded)->Arg(1)->Arg(2)->Arg(7)
     ->Unit(benchmark::kMillisecond)->MinTime(0.25);
+
+void BM_GradeThreads(benchmark::State& state) {
+  // The Table 1 workload (mult16 x 4096 patterns) through the chunked
+  // grading pass at Arg threads. Unlike BM_FaultSim_PpsfpMt (one
+  // 64-pattern block) it spans 64 blocks, so a per-block barrier would
+  // show here. The /4 row also reports threads_4_over_1: the median of
+  // 4-thread over 1-thread wall time, from alternating pairs within this
+  // run. Not gated as a ratio: on a host with one core of throughput it
+  // is 1 whatever the code does.
+  const circuit::Circuit c = circuit::make_array_multiplier(16);
+  const fault::FaultList faults = fault::FaultList::full_universe(c);
+  const sim::PatternSet patterns =
+      tpg::lfsr_patterns(c.pattern_inputs().size(), 4096, 1981);
+  const auto compiled = std::make_shared<const circuit::CompiledCircuit>(c);
+  const auto threads = static_cast<std::size_t>(state.range(0));
+  const auto grade_ms = [&](std::size_t lanes) {
+    const auto start = std::chrono::steady_clock::now();
+    const fault::FaultSimResult r =
+        simulate_ppsfp_mt(faults, patterns, nullptr, lanes, compiled);
+    benchmark::DoNotOptimize(r.coverage);
+    return std::chrono::duration<double, std::milli>(
+               std::chrono::steady_clock::now() - start)
+        .count();
+  };
+  for (auto _ : state) grade_ms(threads);
+  if (threads == 4) {
+    std::vector<double> one;
+    std::vector<double> four;
+    for (int pair = 0; pair < 9; ++pair) {
+      one.push_back(grade_ms(1));
+      four.push_back(grade_ms(4));
+    }
+    std::sort(one.begin(), one.end());
+    std::sort(four.begin(), four.end());
+    state.counters["threads_4_over_1"] = four[four.size() / 2] /
+                                         one[one.size() / 2];
+  }
+  state.SetLabel("mult16 x 4096 patterns, " + std::to_string(threads) +
+                 " threads");
+}
+BENCHMARK(BM_GradeThreads)->Arg(1)->Arg(2)->Arg(4)
+    ->Unit(benchmark::kMillisecond)->MinTime(0.25)->UseRealTime();
 
 void BM_Podem_PerFault(benchmark::State& state) {
   // Arg 0 = plain PODEM, arg 1 = implication-assisted. The engine is

@@ -155,13 +155,13 @@ BistResult BistSession::run(std::size_t num_threads) const {
       faults.model() == fault_model::FaultModel::kTransition;
   fault_model::TwoPatternWindow window(transition ? c.node_count() : 0);
 
-  // Streamed, block-outer, fault-inner, strided across lanes like
-  // simulate_ppsfp_mt: each block is simulated once, folded into the
-  // reference signature, and graded while its values are live — session
-  // memory is O(node_count), independent of session length. Each class
-  // index is owned by one lane for the whole session (the stride mapping
-  // never changes — no dropping), so every delta / first_* slot has a
-  // single writer and the result is bit-identical for any worker count.
+  // Streamed, block-outer, fault-inner, strided across lanes: each block
+  // is simulated once, folded into the reference signature, and graded
+  // while its values are live — session memory is O(node_count),
+  // independent of session length. Each class index is owned by one lane
+  // for the whole session (the stride mapping never changes — no
+  // dropping), so every delta / first_* slot has a single writer and the
+  // result is bit-identical for any worker count.
   sim::ParallelSimulator good_sim(compiled_);
   Misr reference = misr;
   for (std::size_t b = 0; b < block_count; ++b) {

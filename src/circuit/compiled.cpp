@@ -119,6 +119,23 @@ void CompiledCircuit::build_ffrs(const Circuit& circuit) {
     ffr_reader_[id] = reader;
     ffr_reader_pin_[id] = static_cast<std::int32_t>(pin);
   }
+
+  // Rank the stems once, so every grading call can bucket its live list
+  // by rank instead of comparison-sorting it: a counting sort by level
+  // (deepest first), stable in gate id.
+  std::vector<std::uint32_t> next(depth_ + 2, 0);
+  for (GateId id = 0; id < n; ++id) {
+    if (ffr_stem_[id] == id) ++next[depth_ - level_[id] + 1];
+  }
+  for (std::size_t k = 1; k < next.size(); ++k) next[k] += next[k - 1];
+  ffr_count_ = next.back();
+  ffr_rank_.resize(n);
+  for (GateId id = 0; id < n; ++id) {
+    if (ffr_stem_[id] == id) ffr_rank_[id] = next[depth_ - level_[id]]++;
+  }
+  for (GateId id = 0; id < n; ++id) {
+    ffr_rank_[id] = ffr_rank_[ffr_stem_[id]];
+  }
 }
 
 void CompiledCircuit::build_program() {

@@ -145,6 +145,15 @@ class CompiledCircuit {
   [[nodiscard]] std::int32_t ffr_reader_pin(GateId id) const noexcept {
     return ffr_reader_pin_[id];
   }
+  /// Number of fanout-free regions (one per stem).
+  [[nodiscard]] std::size_t ffr_count() const noexcept { return ffr_count_; }
+  /// Rank in [0, ffr_count()) of the stem of the region containing `id`,
+  /// in grading order: stem level descending, then stem gate id. Suffix
+  /// sweeps visited in rank order start at non-increasing levels, and the
+  /// grading engines' live lists are a counting sort by this rank.
+  [[nodiscard]] std::uint32_t ffr_rank(GateId id) const noexcept {
+    return ffr_rank_[id];
+  }
 
   /// The circuit this view was compiled from.
   [[nodiscard]] const Circuit& source() const noexcept { return *source_; }
@@ -268,6 +277,8 @@ class CompiledCircuit {
   std::vector<GateId> ffr_stem_;
   std::vector<GateId> ffr_reader_;
   std::vector<std::int32_t> ffr_reader_pin_;
+  std::vector<std::uint32_t> ffr_rank_;
+  std::size_t ffr_count_ = 0;
   std::size_t depth_ = 0;
 };
 

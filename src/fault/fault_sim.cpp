@@ -1,8 +1,12 @@
 #include "fault/fault_sim.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cassert>
+#include <exception>
+#include <mutex>
+#include <thread>
 #include <utility>
 
 #include "sim/parallel_sim.hpp"
@@ -67,7 +71,7 @@ void Propagator::schedule_fanout(GateId id) {
   }
 }
 
-void Propagator::begin_block(const std::vector<std::uint64_t>& good) {
+void Propagator::begin_block(std::span<const std::uint64_t> good) {
   const std::size_t n = compiled_->node_count();
   LSIQ_EXPECT(good.size() == n || good.size() == n + 1,
               "begin_block: good values must cover every gate");
@@ -81,7 +85,7 @@ void Propagator::begin_block(const std::vector<std::uint64_t>& good) {
   block_synced_ = true;
 }
 
-void Propagator::check_sync(const std::vector<std::uint64_t>& good,
+void Propagator::check_sync(std::span<const std::uint64_t> good,
                             const char* who) const {
   LSIQ_EXPECT(block_synced_, std::string(who) +
                                  ": begin_block must follow every new "
@@ -151,7 +155,7 @@ bool Propagator::resolve_site(const Fault& fault, const std::uint64_t* good,
 }
 
 std::uint64_t Propagator::detect_word(
-    const Fault& fault, const std::vector<std::uint64_t>& good_values,
+    const Fault& fault, std::span<const std::uint64_t> good_values,
     const std::vector<std::uint64_t>* point_masks) {
   check_sync(good_values, "detect_word");
   const CompiledCircuit& c = *compiled_;
@@ -255,7 +259,7 @@ std::uint64_t Propagator::observe(
 }
 
 std::uint64_t Propagator::detect_word_resim(
-    const Fault& fault, const std::vector<std::uint64_t>& good_values,
+    const Fault& fault, std::span<const std::uint64_t> good_values,
     const std::vector<std::uint64_t>* point_masks) {
   check_sync(good_values, "detect_word_resim");
   const std::uint64_t* good = good_values.data();
@@ -274,7 +278,7 @@ std::uint64_t Propagator::detect_word_resim(
 }
 
 std::uint64_t Propagator::local_word(
-    const Fault& fault, const std::vector<std::uint64_t>& good_values,
+    const Fault& fault, std::span<const std::uint64_t> good_values,
     const std::vector<std::uint64_t>* point_masks, bool* captured) {
   check_sync(good_values, "local_word");
   const CompiledCircuit& c = *compiled_;
@@ -303,7 +307,7 @@ std::uint64_t Propagator::local_word(
 }
 
 std::uint64_t Propagator::stem_observation(
-    GateId stem, const std::vector<std::uint64_t>& good_values,
+    GateId stem, std::span<const std::uint64_t> good_values,
     const std::vector<std::uint64_t>* point_masks) {
   check_sync(good_values, "stem_observation");
   const std::uint64_t* good = good_values.data();
@@ -315,7 +319,7 @@ std::uint64_t Propagator::stem_observation(
 }
 
 std::uint64_t Propagator::detect_word_transition(
-    const Fault& fault, const std::vector<std::uint64_t>& good,
+    const Fault& fault, std::span<const std::uint64_t> good,
     const fault_model::TwoPatternWindow& window,
     const std::vector<std::uint64_t>* point_masks) {
   check_sync(good, "detect_word_transition");
@@ -326,7 +330,7 @@ std::uint64_t Propagator::detect_word_transition(
 }
 
 std::uint64_t Propagator::point_diff_words(
-    const Fault& fault, const std::vector<std::uint64_t>& good_values,
+    const Fault& fault, std::span<const std::uint64_t> good_values,
     std::vector<std::uint64_t>& diffs) {
   check_sync(good_values, "point_diff_words");
   const CompiledCircuit& c = *compiled_;
@@ -459,36 +463,6 @@ class ScheduleMasks {
   std::vector<std::uint64_t> masks_;
 };
 
-/// Live-fault work list for the PPSFP engines: every class index in
-/// [class_begin, class_end), sorted by each class's FFR stem by
-/// non-increasing level, then stem id, then class order. Suffix
-/// resimulation sweeps [stem level, depth], so this order makes each sweep
-/// exactly overwrite what the previous one dirtied, and it makes every
-/// stem's live classes one contiguous group. Detect words are
-/// order-independent; only the sweep start depends on the order.
-std::vector<std::uint32_t> sorted_live_list(const FaultList& faults,
-                                            const CompiledCircuit& compiled,
-                                            std::size_t class_begin,
-                                            std::size_t class_end) {
-  const auto sweep_gate = [&](std::uint32_t c) {
-    return compiled.ffr_stem(faults.representatives()[c].gate);
-  };
-  std::vector<std::uint32_t> live(class_end - class_begin);
-  for (std::size_t c = 0; c < live.size(); ++c) {
-    live[c] = static_cast<std::uint32_t>(class_begin + c);
-  }
-  std::stable_sort(live.begin(), live.end(),
-                   [&](std::uint32_t a, std::uint32_t b) {
-                     const GateId ga = sweep_gate(a);
-                     const GateId gb = sweep_gate(b);
-                     if (compiled.level(ga) != compiled.level(gb)) {
-                       return compiled.level(ga) > compiled.level(gb);
-                     }
-                     return ga < gb;
-                   });
-  return live;
-}
-
 }  // namespace
 
 void FaultSimResult::finalize(const FaultList& faults) {
@@ -575,23 +549,49 @@ FaultSimResult simulate_serial(const FaultList& faults,
 
 namespace {
 
-/// Stem-region grading of live[first, last) — whole stem groups, in
-/// sorted_live_list order — into detects[first, last). A stem's
-/// observation word is swept at most once, and only when some class of
-/// its group has a nonzero local & block-mask (& launch) word.
+/// Live-fault work list for the PPSFP engines: every class index in
+/// [class_begin, class_end), ordered by the rank of its FFR stem
+/// (CompiledCircuit::ffr_rank: stem level descending, then stem id), then
+/// by class index. Suffix resimulation sweeps [stem level, depth], so this
+/// order makes each sweep exactly overwrite what the previous one
+/// dirtied, and it makes every stem's live classes one contiguous group.
+/// Detect words are order-independent; only the sweep start depends on
+/// the order. A counting sort by rank, stable in class index.
+std::vector<std::uint32_t> sorted_live_list(const FaultList& faults,
+                                            const CompiledCircuit& compiled,
+                                            std::size_t class_begin,
+                                            std::size_t class_end) {
+  const auto rank = [&](std::size_t c) {
+    return compiled.ffr_rank(faults.representatives()[c].gate);
+  };
+  std::vector<std::uint32_t> start(compiled.ffr_count() + 1, 0);
+  for (std::size_t c = class_begin; c < class_end; ++c) ++start[rank(c) + 1];
+  for (std::size_t r = 1; r < start.size(); ++r) start[r] += start[r - 1];
+  std::vector<std::uint32_t> live(class_end - class_begin);
+  for (std::size_t c = class_begin; c < class_end; ++c) {
+    live[start[rank(c)]++] = static_cast<std::uint32_t>(c);
+  }
+  return live;
+}
+
+/// Stem-region grading of live[0, count) — whole stem groups, in
+/// sorted_live_list order — into detects[0, count). A stem's observation
+/// word is swept at most once, and only when some class of its group has
+/// a nonzero local & block-mask (& launch) word. For a transition
+/// universe `previous` is the block before `good` (nullptr for the
+/// program's first block).
 void grade_stem_groups(Propagator& propagator, const FaultList& faults,
-                       const std::uint32_t* live, std::size_t first,
-                       std::size_t last,
-                       const std::vector<std::uint64_t>& good,
+                       const std::uint32_t* live, std::size_t count,
+                       std::span<const std::uint64_t> good,
                        std::uint64_t mask,
                        const std::vector<std::uint64_t>* point_masks,
-                       const fault_model::TwoPatternWindow* window,
+                       bool transition, const std::uint64_t* previous,
                        std::uint64_t* detects) {
   const CompiledCircuit& c = *propagator.compiled();
   GateId stem = circuit::kNoGate;
   bool swept = false;
   std::uint64_t observed = 0;
-  for (std::size_t i = first; i < last; ++i) {
+  for (std::size_t i = 0; i < count; ++i) {
     const Fault& rep = faults.representatives()[live[i]];
     const GateId rep_stem = c.ffr_stem(rep.gate);
     if (rep_stem != stem) {
@@ -599,10 +599,10 @@ void grade_stem_groups(Propagator& propagator, const FaultList& faults,
       swept = false;
     }
     std::uint64_t live_lanes = mask;
-    if (window != nullptr) {
+    if (transition) {
       // No launched lane: the capture cannot matter.
-      live_lanes &= window->launch_mask(fault_line(c, rep), rep.stuck_at_one,
-                                        good.data());
+      live_lanes &= fault_model::launch_mask(
+          fault_line(c, rep), rep.stuck_at_one, good.data(), previous);
     }
     std::uint64_t detect = 0;
     if (live_lanes != 0) {
@@ -619,6 +619,148 @@ void grade_stem_groups(Propagator& propagator, const FaultList& faults,
     }
     detects[i] = detect;
   }
+}
+
+/// Blocks whose good machine is held at once. The pass grades the program
+/// in windows of this many blocks (4096 patterns), so the good-value
+/// buffer stays bounded however long the program is; the lanes join once
+/// per window, never once per block.
+constexpr std::size_t kWindowBlocks = 64;
+
+/// The good machine of one window of blocks, shared read-only by the
+/// lanes. Each block is simulated once, by the first lane that needs it,
+/// so blocks that no live chunk reaches are never simulated, and is
+/// published through an atomic frontier: once a block exists, a lane
+/// pays one acquire load for it. Every block keeps its ParallelSimulator
+/// epoch word, so Propagator::check_sync stays armed. The blocks share
+/// one allocation, made on the calling thread: memory the lanes allocated
+/// would come from their own malloc arenas, and a run of block-sized
+/// allocations would be returned to the system and faulted in again on
+/// every call.
+class GoodWindow {
+ public:
+  GoodWindow(const std::shared_ptr<const CompiledCircuit>& compiled,
+             const sim::PatternSet& patterns, const StrobeSchedule* schedule)
+      : patterns_(patterns),
+        sim_(compiled),
+        masks_(compiled->source(), schedule),
+        strobed_(schedule != nullptr && !schedule->is_full()),
+        stride_(sim_.values().size()),
+        good_(std::make_unique_for_overwrite<std::uint64_t[]>(
+            (std::min(patterns.block_count(), kWindowBlocks) + 1) *
+            stride_)) {}
+
+  /// Move on to blocks [first, last), at most kWindowBlocks of them. Not
+  /// thread-safe: call between lane runs. The previous window's last
+  /// block stays readable as the predecessor of `first`.
+  void reset(std::size_t first, std::size_t last) {
+    if (first != 0) {
+      std::copy_n(good_.get() + (first - first_) * stride_, stride_,
+                  good_.get());
+    }
+    if (strobed_) {
+      strobes_.resize(last - first);
+      for (std::vector<std::uint64_t>& masks : strobes_) {
+        masks.reserve(sim_.compiled()->observed_points().size());
+      }
+    }
+    first_ = first;
+    ready_.store(first, std::memory_order_relaxed);
+  }
+
+  /// Good values of block b of the window, simulated first if no lane
+  /// has needed it yet.
+  std::span<const std::uint64_t> block(std::size_t b) {
+    if (ready_.load(std::memory_order_acquire) <= b) {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      for (std::size_t next = ready_.load(std::memory_order_relaxed);
+           next <= b; ++next) {
+        sim_.simulate_block(patterns_.block_words(next));
+        std::copy_n(sim_.values().data(), stride_, slot(next));
+        if (strobed_) strobes_[next - first_] = *masks_.for_block(next);
+        ready_.store(next + 1, std::memory_order_release);
+      }
+    }
+    return {slot(b), stride_};
+  }
+
+  /// Block b - 1's good values (nullptr for the program's first block),
+  /// for transition launch masks. Valid once block(b) returned.
+  [[nodiscard]] const std::uint64_t* previous(std::size_t b) const {
+    return b == 0 ? nullptr : slot(b - 1);
+  }
+
+  /// Block b's strobe lane masks, nullptr under full observation. Valid
+  /// once block(b) returned.
+  [[nodiscard]] const std::vector<std::uint64_t>* strobes(
+      std::size_t b) const {
+    return strobed_ ? &strobes_[b - first_] : nullptr;
+  }
+
+ private:
+  /// Slot 0 holds the block before the window, slot k + 1 its block k.
+  [[nodiscard]] std::uint64_t* slot(std::size_t b) const {
+    return good_.get() + (b + 1 - first_) * stride_;
+  }
+
+  const sim::PatternSet& patterns_;
+  std::mutex mutex_;
+  sim::ParallelSimulator sim_;
+  ScheduleMasks masks_;
+  bool strobed_;
+  std::size_t stride_;
+  std::unique_ptr<std::uint64_t[]> good_;
+  std::size_t first_ = 0;
+  /// Blocks [first_, ready_) are simulated and published.
+  std::atomic<std::size_t> ready_{0};
+  std::vector<std::vector<std::uint64_t>> strobes_;
+};
+
+/// A chunk closes at the first stem-group boundary at or past this many
+/// classes: small enough to balance the lanes, large enough to amortize a
+/// chunk's begin_block per block.
+constexpr std::size_t kChunkClasses = 64;
+
+/// A run of whole stem groups in the live list, graded by one lane at a
+/// time. Its live classes are live[begin, begin + live): fault dropping
+/// compacts them in place, keeping their order.
+struct Chunk {
+  std::size_t begin = 0;
+  std::size_t live = 0;
+};
+
+/// Run lane(0, stop) on the calling thread and lane(1..lanes-1, stop) on
+/// worker threads that adopt its deadline and cancel scopes. Returns once
+/// every worker has joined and rethrows the first exception a lane threw;
+/// `stop` is raised on an exception, so the other lanes end after their
+/// current chunk. One lane starts no thread.
+template <typename Lane>
+void run_lanes(std::size_t lanes, const Lane& lane) {
+  std::mutex mutex;
+  std::exception_ptr first_error;
+  std::atomic<bool> stop{false};
+  const auto guarded = [&](std::size_t index) {
+    try {
+      lane(index, stop);
+    } catch (...) {
+      stop.store(true, std::memory_order_relaxed);
+      const std::lock_guard<std::mutex> lock(mutex);
+      if (first_error == nullptr) first_error = std::current_exception();
+    }
+  };
+  {
+    const util::detail::DeadlineFrame* scopes = util::current_scopes();
+    std::vector<std::jthread> workers;
+    workers.reserve(lanes - 1);
+    for (std::size_t index = 1; index < lanes; ++index) {
+      workers.emplace_back([&guarded, scopes, index] {
+        const util::AdoptScopes adopt(scopes);
+        guarded(index);
+      });
+    }
+    guarded(0);
+  }  // the jthreads join here
+  if (first_error != nullptr) std::rethrow_exception(first_error);
 }
 
 }  // namespace
@@ -640,8 +782,8 @@ std::shared_ptr<const CompiledCircuit> grading_view(
 std::size_t grade_class_range(
     const FaultList& faults, const sim::PatternSet& patterns,
     const StrobeSchedule* schedule,
-    const std::shared_ptr<const CompiledCircuit>& compiled, bool use_pool,
-    std::size_t num_threads, std::size_t class_begin, std::size_t class_end,
+    const std::shared_ptr<const CompiledCircuit>& compiled,
+    std::size_t threads, std::size_t class_begin, std::size_t class_end,
     std::vector<std::int64_t>& first_detection) {
   LSIQ_EXPECT(compiled != nullptr,
               "grade_class_range: compiled view required");
@@ -650,93 +792,81 @@ std::size_t grade_class_range(
               "grade_class_range: class range out of bounds");
   LSIQ_EXPECT(first_detection.size() == faults.class_count(),
               "grade_class_range: first_detection must cover every class");
-  ScheduleMasks strobe_masks(faults.circuit(), schedule);
-  sim::ParallelSimulator good_sim(compiled);
   const bool transition =
       faults.model() == fault_model::FaultModel::kTransition;
-  // One launch window, advanced on the coordinating thread between blocks
-  // and read-only inside a block, so the gating each lane applies is a
-  // pure function of the block index — thread-count independence holds.
-  fault_model::TwoPatternWindow window(
-      transition ? compiled->node_count() : 0);
+  GoodWindow window(compiled, patterns, schedule);
 
-  // Live list in stem-group order, compacted in place as faults drop
-  // (compaction keeps the order, so groups stay contiguous).
+  // The live list in stem-group order, cut into chunks of whole groups, so
+  // no stem is ever swept by two lanes in one block.
   std::vector<std::uint32_t> live =
       sorted_live_list(faults, *compiled, class_begin, class_end);
+  const auto rank = [&](std::size_t i) {
+    return compiled->ffr_rank(faults.representatives()[live[i]].gate);
+  };
+  std::vector<Chunk> chunks;
+  for (std::size_t i = 0; i < live.size(); ++i) {
+    if (chunks.empty() || (i - chunks.back().begin >= kChunkClasses &&
+                           rank(i) != rank(i - 1))) {
+      if (!chunks.empty()) chunks.back().live = i - chunks.back().begin;
+      chunks.push_back(Chunk{i, 0});
+    }
+  }
+  if (chunks.empty()) return 0;
+  chunks.back().live = live.size() - chunks.back().begin;
   std::vector<std::uint64_t> detects(live.size(), 0);
 
-  // Lazily constructed so the single-threaded path spawns no pool.
-  std::unique_ptr<util::ThreadPool> pool;
-  if (use_pool) pool = std::make_unique<util::ThreadPool>(num_threads);
-  const std::size_t lanes = pool != nullptr ? pool->size() : 1;
+  const std::size_t lanes =
+      std::min(util::resolve_worker_count(threads), chunks.size());
   std::vector<Propagator> propagators;
   propagators.reserve(lanes);
-  for (std::size_t t = 0; t < lanes; ++t) {
-    propagators.emplace_back(compiled);
-  }
-  // Start index of every stem group in the live list, plus an end marker.
-  std::vector<std::size_t> groups;
+  for (std::size_t t = 0; t < lanes; ++t) propagators.emplace_back(compiled);
 
-  for (std::size_t b = 0; b < patterns.block_count() && !live.empty(); ++b) {
-    // Cooperative watchdog checkpoint on the coordinating thread, once per
-    // 64-pattern block: lanes only run inside pool->run, so polling here
-    // bounds the whole block (free when no deadline is active).
-    util::poll_deadline();
-    good_sim.simulate_block(patterns.block_words(b));
-    const std::vector<std::uint64_t>& good = good_sim.values();
-    const std::uint64_t mask = patterns.block_mask(b);
-    const std::vector<std::uint64_t>* point_masks = strobe_masks.for_block(b);
-    const fault_model::TwoPatternWindow* launch =
-        transition ? &window : nullptr;
-    const std::size_t live_count = live.size();
+  const std::size_t block_count = patterns.block_count();
+  std::size_t live_total = live.size();
+  for (std::size_t first = 0; first < block_count && live_total != 0;
+       first += kWindowBlocks) {
+    const std::size_t last = std::min(block_count, first + kWindowBlocks);
+    window.reset(first, last);
 
-    if (pool == nullptr) {
-      propagators[0].begin_block(good);
-      grade_stem_groups(propagators[0], faults, live.data(), 0, live_count,
-                        good, mask, point_masks, launch, detects.data());
-    } else {
-      // Each lane takes a strided slice of whole stem groups — still
-      // non-increasing in stem level (the resim fast path), each stem
-      // swept by one lane only, and far better balanced than contiguous
-      // chunks. Detect words are written per live-list slot and folded
-      // below serially, so the result bytes are independent of thread
-      // interleaving by construction.
-      groups.clear();
-      for (std::size_t i = 0; i < live_count; ++i) {
-        if (i == 0 || compiled->ffr_stem(
-                          faults.representatives()[live[i]].gate) !=
-                          compiled->ffr_stem(
-                              faults.representatives()[live[i - 1]].gate)) {
-          groups.push_back(i);
+    // Each lane claims chunks from the cursor and grades each through the
+    // whole window with its own Propagator. Detect words are pure
+    // functions of the patterns, and a chunk's groups are graded exactly
+    // as one serial pass would grade them, so first_detection and the
+    // sweep count do not depend on the lane count or the interleaving.
+    std::atomic<std::size_t> cursor{0};
+    run_lanes(lanes, [&](std::size_t lane, const std::atomic<bool>& stop) {
+      Propagator& propagator = propagators[lane];
+      for (std::size_t k = cursor.fetch_add(1, std::memory_order_relaxed);
+           k < chunks.size() && !stop.load(std::memory_order_relaxed);
+           k = cursor.fetch_add(1, std::memory_order_relaxed)) {
+        Chunk& chunk = chunks[k];
+        std::uint32_t* chunk_live = live.data() + chunk.begin;
+        std::uint64_t* chunk_detects = detects.data() + chunk.begin;
+        for (std::size_t b = first; b < last && chunk.live != 0; ++b) {
+          // Cooperative watchdog checkpoint (free when no deadline is
+          // active; workers see the caller's scopes).
+          util::poll_deadline();
+          const std::span<const std::uint64_t> good = window.block(b);
+          propagator.begin_block(good);
+          grade_stem_groups(propagator, faults, chunk_live, chunk.live, good,
+                            patterns.block_mask(b), window.strobes(b),
+                            transition, window.previous(b), chunk_detects);
+          // Per-block fault dropping, in live-list order.
+          std::size_t kept = 0;
+          for (std::size_t i = 0; i < chunk.live; ++i) {
+            if (chunk_detects[i] != 0) {
+              first_detection[chunk_live[i]] = static_cast<std::int64_t>(
+                  b * 64 + std::countr_zero(chunk_detects[i]));
+            } else {
+              chunk_live[kept++] = chunk_live[i];
+            }
+          }
+          chunk.live = kept;
         }
       }
-      const std::size_t group_count = groups.size();
-      groups.push_back(live_count);
-      pool->run([&](std::size_t lane) {
-        if (lane >= group_count) return;
-        Propagator& propagator = propagators[lane];
-        propagator.begin_block(good);
-        for (std::size_t g = lane; g < group_count; g += lanes) {
-          grade_stem_groups(propagator, faults, live.data(), groups[g],
-                            groups[g + 1], good, mask, point_masks, launch,
-                            detects.data());
-        }
-      });
-    }
-
-    // Per-block fault-drop compaction, in live-list order.
-    std::size_t kept = 0;
-    for (std::size_t i = 0; i < live_count; ++i) {
-      if (detects[i] != 0) {
-        first_detection[live[i]] = static_cast<std::int64_t>(
-            b * 64 + std::countr_zero(detects[i]));
-      } else {
-        live[kept++] = live[i];
-      }
-    }
-    live.resize(kept);
-    if (transition) window.advance(good);
+    });
+    live_total = 0;
+    for (const Chunk& chunk : chunks) live_total += chunk.live;
   }
 
   std::size_t stem_sweeps = 0;
@@ -752,14 +882,13 @@ namespace {
 FaultSimResult grade_all_classes(
     const FaultList& faults, const sim::PatternSet& patterns,
     const StrobeSchedule* schedule,
-    std::shared_ptr<const CompiledCircuit> compiled, bool use_pool,
-    std::size_t num_threads) {
+    std::shared_ptr<const CompiledCircuit> compiled, std::size_t threads) {
   FaultSimResult result;
   result.first_detection.assign(faults.class_count(), -1);
   result.stem_sweeps = grade_class_range(
       faults, patterns, schedule,
-      grading_view(faults, patterns, std::move(compiled)), use_pool,
-      num_threads, 0, faults.class_count(), result.first_detection);
+      grading_view(faults, patterns, std::move(compiled)), threads, 0,
+      faults.class_count(), result.first_detection);
   result.finalize(faults);
   return result;
 }
@@ -773,7 +902,7 @@ FaultSimResult simulate_ppsfp(
   LSIQ_EXPECT(width == 1, "simulate_ppsfp: grading is 64-lane; width must "
                           "be 1");
   return grade_all_classes(faults, patterns, schedule, std::move(compiled),
-                           /*use_pool=*/false, 1);
+                           1);
 }
 
 FaultSimResult simulate_ppsfp_mt(
@@ -783,7 +912,7 @@ FaultSimResult simulate_ppsfp_mt(
   LSIQ_EXPECT(width == 1, "simulate_ppsfp_mt: grading is 64-lane; width "
                           "must be 1");
   return grade_all_classes(faults, patterns, schedule, std::move(compiled),
-                           /*use_pool=*/true, num_threads);
+                           num_threads);
 }
 
 }  // namespace lsiq::fault

@@ -28,13 +28,18 @@
 //     class is detected in the lanes of local AND observation — one sweep
 //     per live stem, not one per live class.
 //
-//   * simulate_ppsfp_mt — the same computation fanned out over a
-//     persistent worker pool: each thread owns a Propagator and grades a
-//     strided slice of the live list's stem groups per block (a group is
-//     every live class of one stem, so each stem is swept by one lane at
-//     most once; the stride keeps per-lane work balanced, since sweep cost
-//     varies with stem level). Detect words do not depend on evaluation
-//     order, so the result is bit-identical to simulate_ppsfp.
+//   * simulate_ppsfp_mt — the same computation on several threads, with
+//     no barrier per block. Both PPSFP engines (and simulate_sharded,
+//     fault/shard.hpp) are thin wrappers over one pass,
+//     grade_class_range: the live list, sorted by stem rank, is cut into
+//     chunks of whole stem groups (a group is every live class of one
+//     stem); each block's good machine is simulated once into a buffer
+//     the lanes share read-only; and the caller plus threads - 1 workers
+//     claim chunks from an atomic cursor, each grading its chunk through
+//     every block with its own Propagator and dropping faults per chunk.
+//     A stem group never spans two chunks, and detect words do not depend
+//     on evaluation order, so first_detection and the stem-sweep count
+//     are identical to simulate_ppsfp for every thread count.
 //
 // BIST signature grading and ATPG keep the per-fault Propagator kernels:
 // they need a fault's own detect or per-point difference words, not just
@@ -47,6 +52,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "circuit/compiled.hpp"
@@ -120,7 +126,7 @@ class Propagator {
   /// the buffer has not been re-simulated since this sync and fails
   /// loudly (assert + LSIQ_EXPECT) on the classic forgotten-begin_block
   /// bug; without it the caller is on their own.
-  void begin_block(const std::vector<std::uint64_t>& good);
+  void begin_block(std::span<const std::uint64_t> good);
 
   /// Detection word for one fault (bit p = pattern p of the block detects
   /// it). `good` holds the good-machine words of every gate for this block
@@ -131,7 +137,7 @@ class Propagator {
   /// observability. Event-driven: cost scales with the fault's cone, the
   /// right kernel when effects die near the site.
   std::uint64_t detect_word(const Fault& fault,
-                            const std::vector<std::uint64_t>& good,
+                            std::span<const std::uint64_t> good,
                             const std::vector<std::uint64_t>* point_masks =
                                 nullptr);
 
@@ -144,7 +150,7 @@ class Propagator {
   /// are ordered by non-increasing site level — any order is correct, but
   /// an out-of-order call pays an extra prefix sweep to clear stale state.
   std::uint64_t detect_word_resim(const Fault& fault,
-                                  const std::vector<std::uint64_t>& good,
+                                  std::span<const std::uint64_t> good,
                                   const std::vector<std::uint64_t>*
                                       point_masks = nullptr);
 
@@ -157,7 +163,7 @@ class Propagator {
   /// advance() it only after every fault of the block is graded. A fault
   /// with no launched lane skips capture simulation entirely.
   std::uint64_t detect_word_transition(
-      const Fault& fault, const std::vector<std::uint64_t>& good,
+      const Fault& fault, std::span<const std::uint64_t> good,
       const fault_model::TwoPatternWindow& window,
       const std::vector<std::uint64_t>* point_masks = nullptr);
 
@@ -170,7 +176,7 @@ class Propagator {
   /// MISR stage in the same cycle cancel. Suffix-resimulation kernel;
   /// same begin_block and call-ordering contract as detect_word_resim.
   std::uint64_t point_diff_words(const Fault& fault,
-                                 const std::vector<std::uint64_t>& good,
+                                 std::span<const std::uint64_t> good,
                                  std::vector<std::uint64_t>& diffs);
 
   /// Stem-region kernel, first half: the fault's effect at its FFR stem
@@ -182,7 +188,7 @@ class Propagator {
   /// exactly as detect_word_resim resolves it. Same begin_block contract
   /// as detect_word.
   std::uint64_t local_word(const Fault& fault,
-                           const std::vector<std::uint64_t>& good,
+                           std::span<const std::uint64_t> good,
                            const std::vector<std::uint64_t>* point_masks,
                            bool* captured);
 
@@ -193,7 +199,7 @@ class Propagator {
   /// detect_word_resim. A fault's detect word is local_word &
   /// stem_observation of its stem. Counted in stem_sweeps().
   std::uint64_t stem_observation(circuit::GateId stem,
-                                 const std::vector<std::uint64_t>& good,
+                                 std::span<const std::uint64_t> good,
                                  const std::vector<std::uint64_t>*
                                      point_masks = nullptr);
 
@@ -230,7 +236,7 @@ class Propagator {
   /// Stale-sync guard run by every detect entry point: `good` must be the
   /// buffer last passed to begin_block, un-resimulated since (verified via
   /// the trailing epoch stamp when the buffer carries one).
-  void check_sync(const std::vector<std::uint64_t>& good,
+  void check_sync(std::span<const std::uint64_t> good,
                   const char* who) const;
 
   std::shared_ptr<const circuit::CompiledCircuit> compiled_;
@@ -274,12 +280,10 @@ FaultSimResult simulate_ppsfp(
     std::shared_ptr<const circuit::CompiledCircuit> compiled = nullptr,
     std::size_t width = 1);
 
-/// Multi-threaded PPSFP: per block, the live list's stem groups are
-/// partitioned across `num_threads` workers (resolved by
-/// util::resolve_worker_count; 0 = one per hardware thread), each with its
-/// own Propagator; fault dropping compacts the list after every block.
-/// Bit-identical to simulate_ppsfp and simulate_serial. `compiled` and
-/// `width` as in simulate_ppsfp.
+/// Multi-threaded PPSFP: the grading pass of grade_class_range on
+/// util::resolve_worker_count(num_threads) lanes (0 = one per hardware
+/// thread; 1 starts no thread). Bit-identical to simulate_ppsfp and
+/// simulate_serial. `compiled` and `width` as in simulate_ppsfp.
 FaultSimResult simulate_ppsfp_mt(
     const FaultList& faults, const sim::PatternSet& patterns,
     const StrobeSchedule* schedule = nullptr, std::size_t num_threads = 0,
@@ -295,24 +299,31 @@ std::shared_ptr<const circuit::CompiledCircuit> grading_view(
     const FaultList& faults, const sim::PatternSet& patterns,
     std::shared_ptr<const circuit::CompiledCircuit> compiled);
 
-/// The PPSFP-family grading core, exposed for the sharding layer
+/// The PPSFP-family grading pass, exposed for the sharding layer
 /// (fault/shard.hpp): grade collapsed classes [class_begin, class_end) of
 /// `faults` over the whole pattern set and write each graded class's
 /// first-detection index (or -1) into `first_detection`, which must
 /// already be sized faults.class_count(); entries outside the range are
 /// not touched. `compiled` must be a non-null view of faults.circuit().
-/// With `use_pool` false the range grades on the calling thread; true fans
-/// it out over resolve_worker_count(num_threads) lanes. The bits written
-/// are identical for every thread count and range split — per-class
-/// detect words are pure functions of the patterns. Returns the
-/// stem-observation sweeps performed (FaultSimResult::stem_sweeps). A stem
-/// whose classes straddle two ranges is swept by both, so split ranges may
-/// sum to more than one call.
+/// The range's live list, cut into chunks of whole stem groups, is graded
+/// by resolve_worker_count(threads) lanes — the caller plus threads - 1
+/// workers — that claim chunks from an atomic cursor and grade each
+/// through every block with fault dropping. Each block's good machine is
+/// simulated once, by the first lane that needs it, into a buffer the
+/// lanes share read-only; the buffer holds 64 blocks at a time, and the
+/// lanes join once per 64 blocks, never once per block. threads = 1
+/// starts no thread. Every lane polls the caller's deadline and cancel
+/// scopes once per chunk and block; an exception in any lane ends the
+/// others after their current chunk and is rethrown here once every
+/// worker has joined. The bits written and the returned stem-observation
+/// sweep count (FaultSimResult::stem_sweeps) are identical for every
+/// thread count. A stem whose classes straddle two ranges is swept by
+/// both, so split ranges may sum to more sweeps than one call.
 std::size_t grade_class_range(
     const FaultList& faults, const sim::PatternSet& patterns,
     const StrobeSchedule* schedule,
     const std::shared_ptr<const circuit::CompiledCircuit>& compiled,
-    bool use_pool, std::size_t num_threads, std::size_t class_begin,
-    std::size_t class_end, std::vector<std::int64_t>& first_detection);
+    std::size_t threads, std::size_t class_begin, std::size_t class_end,
+    std::vector<std::int64_t>& first_detection);
 
 }  // namespace lsiq::fault

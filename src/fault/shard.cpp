@@ -52,13 +52,12 @@ FaultSimResult simulate_sharded(
                                       ? options.shards
                                       : util::resolve_worker_count(0);
   const ShardPlan plan = ShardPlan::split(faults.class_count(), shard_count);
-  const bool use_pool = options.num_threads != 1;
 
   // Grade each shard into its own full-length vector, exactly as a
   // remote lane would ship one back, then fold. Shards run one after
-  // another here — the parallelism inside a shard is the engine's own
-  // (num_threads), and the shard loop is the seam where MPI ranks or GPU
-  // lanes slot in.
+  // another here — the parallelism inside a shard is the grading pass's
+  // own (num_threads lanes), and the shard loop is the seam where MPI
+  // ranks or GPU lanes slot in.
   std::vector<std::vector<std::int64_t>> per_shard(plan.shard_count());
   std::size_t stem_sweeps = 0;
   for (std::size_t s = 0; s < plan.shard_count(); ++s) {
@@ -66,8 +65,8 @@ FaultSimResult simulate_sharded(
     const ShardRange& range = plan.shard(s);
     if (range.size() == 0) continue;
     stem_sweeps += grade_class_range(faults, patterns, schedule, compiled,
-                                     use_pool, options.num_threads,
-                                     range.begin, range.end, per_shard[s]);
+                                     options.num_threads, range.begin,
+                                     range.end, per_shard[s]);
   }
 
   FaultSimResult result;

@@ -7,10 +7,10 @@
 // first_detection vectors folded back into a result bit-identical to one
 // simulate_ppsfp call over the whole range. ShardPlan owns the split,
 // fold_shards the recombination, and simulate_sharded runs the whole
-// in-process loop: shard -> grade (grade_class_range, MT per shard) ->
-// fold -> finalize. This is the seam a later MPI or GPU backend
-// drops into — replace the in-process grade call per shard, keep the plan
-// and the fold.
+// in-process loop: shard -> grade (one chunked grade_class_range pass per
+// shard, on num_threads lanes) -> fold -> finalize. This is the seam a
+// later MPI or GPU backend drops into — replace the in-process grade call
+// per shard, keep the plan and the fold.
 #pragma once
 
 #include <cstdint>
@@ -80,9 +80,8 @@ struct ShardedOptions {
   /// flowbench/replay.cpp stops passing EngineSpec::grade_width (ROADMAP,
   /// engine collapse).
   std::size_t width = 1;
-  /// Worker threads per shard: 1 grades each shard on the calling
-  /// thread; any other value (0 = hardware threads) grades each shard
-  /// with the MT engine.
+  /// Grading lanes per shard (util::resolve_worker_count; 0 = hardware
+  /// threads): 1 grades each shard on the calling thread alone.
   std::size_t num_threads = 1;
 };
 

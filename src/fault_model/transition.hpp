@@ -27,6 +27,7 @@
 // block's lane 0.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -34,47 +35,49 @@
 
 namespace lsiq::fault_model {
 
-/// Rolling launch-value state for two-pattern grading over a block
-/// sequence. One instance accompanies a grading run: the engine asks for
-/// launch masks while a block's good values are live, then advance()s past
-/// the block. Blocks must be visited in program order exactly once.
+/// Launch mask for a transition fault on `line`: lanes whose preceding
+/// pattern held the pre-transition value (0 for slow-to-rise, 1 for
+/// slow-to-fall). `good` is block b's good-machine value array and
+/// `previous` block b-1's, whose lane 63 launches lane 0; nullptr marks
+/// the program's first block, whose lane 0 has no launch pattern.
+[[nodiscard]] inline std::uint64_t launch_mask(
+    circuit::GateId line, bool slow_to_fall, const std::uint64_t* good,
+    const std::uint64_t* previous) {
+  if (previous == nullptr) {
+    const std::uint64_t before = good[line] << 1;
+    return (slow_to_fall ? before : ~before) & ~1ULL;
+  }
+  const std::uint64_t before = (good[line] << 1) | (previous[line] >> 63);
+  return slow_to_fall ? before : ~before;
+}
+
+/// Rolling launch-value state for two-pattern grading over a streamed
+/// block sequence: it keeps the previous block's good values. One
+/// instance accompanies a grading run: the engine asks for launch masks
+/// while a block's good values are live, then advance()s past the block.
+/// Blocks must be visited in program order exactly once.
 class TwoPatternWindow {
  public:
   explicit TwoPatternWindow(std::size_t node_count)
-      : carry_(node_count, 0) {}
+      : previous_(node_count, 0) {}
 
-  /// Word whose bit p is the good value of `line` at pattern p-1 of the
-  /// current block (bit 0 reads the previous block's pattern 63; garbage
-  /// in the first block, where valid_ masks it out of launch_mask).
-  /// `good` is the current block's good-machine value array.
-  [[nodiscard]] std::uint64_t previous_word(
-      circuit::GateId line, const std::uint64_t* good) const {
-    return (good[line] << 1) | carry_[line];
-  }
-
-  /// Launch mask for a transition fault on `line`: lanes whose preceding
-  /// pattern held the pre-transition value (0 for slow-to-rise, 1 for
-  /// slow-to-fall). Clears lane 0 of the program's first block, which has
-  /// no launch pattern.
+  /// fault_model::launch_mask for the current block.
   [[nodiscard]] std::uint64_t launch_mask(circuit::GateId line,
                                           bool slow_to_fall,
                                           const std::uint64_t* good) const {
-    const std::uint64_t previous = previous_word(line, good);
-    return (slow_to_fall ? previous : ~previous) & valid_;
+    return fault_model::launch_mask(line, slow_to_fall, good,
+                                    started_ ? previous_.data() : nullptr);
   }
 
-  /// Record the current block before moving to the next: each gate's
-  /// lane-63 value becomes the next block's lane-0 launch value.
+  /// Record the current block before moving to the next.
   void advance(const std::vector<std::uint64_t>& good) {
-    for (std::size_t g = 0; g < carry_.size(); ++g) {
-      carry_[g] = good[g] >> 63;
-    }
-    valid_ = ~0ULL;
+    std::copy_n(good.begin(), previous_.size(), previous_.begin());
+    started_ = true;
   }
 
  private:
-  std::vector<std::uint64_t> carry_;  ///< 0 or 1 per gate: last lane's value
-  std::uint64_t valid_ = ~1ULL;       ///< all-ones once a block has passed
+  std::vector<std::uint64_t> previous_;
+  bool started_ = false;
 };
 
 }  // namespace lsiq::fault_model

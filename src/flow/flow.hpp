@@ -98,10 +98,13 @@ struct FlowResult {
 /// callers that need the program but not the rest of the flow
 /// (flowbench/replay.cpp, which times each stage on its own).
 /// For "atpg" sources `atpg_out`, when non-null, receives the generation
-/// statistics.
+/// statistics, and `compiled`, when non-null, is the compiled view of
+/// faults.circuit() that generation and compaction use instead of
+/// compiling their own (run() passes its view).
 sim::PatternSet make_patterns(
     const fault::FaultList& faults, const PatternSourceSpec& source,
-    std::optional<tpg::AtpgResult>* atpg_out = nullptr);
+    std::optional<tpg::AtpgResult>* atpg_out = nullptr,
+    std::shared_ptr<const circuit::CompiledCircuit> compiled = nullptr);
 
 /// Run a spec against a collapsed fault universe. The list's model
 /// (FaultList::model()) must match spec.fault_model. Throws InvalidSpec

@@ -106,9 +106,9 @@ ParallelSimulator::ParallelSimulator(
 
 std::uint64_t ParallelSimulator::next_block_epoch() {
   // Relaxed is enough: the stamp is data, not a synchronization edge. The
-  // MT grading engine publishes the buffer to its lanes through the thread
-  // pool's own barrier. Epoch 0 is never handed out, so a zero-initialized
-  // buffer can never pass a stamp comparison by accident.
+  // grading pass publishes each stored block to its lanes with a release
+  // store of its block frontier. Epoch 0 is never handed out, so a
+  // zero-initialized buffer can never pass a stamp comparison by accident.
   static std::atomic<std::uint64_t> counter{0};
   return counter.fetch_add(1, std::memory_order_relaxed) + 1;
 }

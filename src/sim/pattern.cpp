@@ -23,6 +23,29 @@ void PatternSet::append(const std::vector<bool>& pattern) {
   ++pattern_count_;
 }
 
+void PatternSet::append_block(const std::vector<std::uint64_t>& words,
+                              std::size_t count) {
+  LSIQ_EXPECT(words.size() == input_count_,
+              "append_block: one word per input required");
+  LSIQ_EXPECT(count <= 64, "append_block: at most 64 patterns per block");
+  if (count == 0) return;
+  // Unused lanes of the final block must stay zero (operator== compares
+  // words), so the new lanes are masked before they are merged.
+  const std::uint64_t mask = count == 64 ? ~0ULL : (1ULL << count) - 1;
+  const std::size_t lane = pattern_count_ % 64;
+  for (std::size_t i = 0; i < input_count_; ++i) {
+    const std::uint64_t word = words[i] & mask;
+    std::vector<std::uint64_t>& column = words_[i];
+    if (lane == 0) {
+      column.push_back(word);
+      continue;
+    }
+    column.back() |= word << lane;
+    if (lane + count > 64) column.push_back(word >> (64 - lane));
+  }
+  pattern_count_ += count;
+}
+
 void PatternSet::append_random(std::size_t count, util::Rng& rng) {
   std::vector<bool> p(input_count_);
   for (std::size_t n = 0; n < count; ++n) {

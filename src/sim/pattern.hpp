@@ -27,6 +27,12 @@ class PatternSet {
   /// Append one pattern given as a bit vector over the inputs.
   void append(const std::vector<bool>& pattern);
 
+  /// Append `count` <= 64 patterns given word-parallel, one word per input
+  /// (bit p = that input under the p-th new pattern) — the layout
+  /// block_words returns. Bits at lanes >= count are ignored.
+  void append_block(const std::vector<std::uint64_t>& words,
+                    std::size_t count);
+
   /// Append `count` uniform random patterns.
   void append_random(std::size_t count, util::Rng& rng);
 

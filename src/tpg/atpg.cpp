@@ -47,18 +47,30 @@ void finalize_coverage(const FaultList& faults,
           : 1.0;
 }
 
-/// The classic single-pattern recipe over a stuck-at universe.
-AtpgResult generate_stuck_at_tests(const FaultList& faults,
-                                   const AtpgOptions& options) {
+/// The caller's compiled view of faults.circuit(), or a new one.
+std::shared_ptr<const circuit::CompiledCircuit> view_of(
+    const FaultList& faults,
+    std::shared_ptr<const circuit::CompiledCircuit> compiled) {
+  if (compiled == nullptr) {
+    return std::make_shared<const circuit::CompiledCircuit>(
+        faults.circuit());
+  }
+  LSIQ_EXPECT(compiled->node_count() == faults.circuit().gate_count(),
+              "atpg: compiled view does not match the circuit");
+  return compiled;
+}
+
+/// The classic single-pattern recipe over a stuck-at universe. One
+/// compiled view serves the whole run: random-phase grading, the
+/// confirmation simulator and the implication engine all read it.
+AtpgResult generate_stuck_at_tests(
+    const FaultList& faults, const AtpgOptions& options,
+    const std::shared_ptr<const circuit::CompiledCircuit>& compiled) {
   const circuit::Circuit& circuit = faults.circuit();
   const std::size_t input_count = circuit.pattern_inputs().size();
 
   AtpgResult result{PatternSet(input_count)};
   std::vector<char> detected(faults.class_count(), 0);
-  // One compiled view for the whole run: random-phase grading, the
-  // confirmation simulator and the implication engine all read it.
-  const auto compiled = std::make_shared<const circuit::CompiledCircuit>(
-      circuit);
 
   // ---- Phase 1: random patterns ----
   if (options.random_patterns > 0) {
@@ -149,16 +161,14 @@ AtpgResult generate_stuck_at_tests(const FaultList& faults,
 /// the compaction); the deterministic phase appends an ordered (launch,
 /// capture) pair per survivor and drops every remaining fault the new
 /// pair detects.
-AtpgResult generate_transition_tests(const FaultList& faults,
-                                     const AtpgOptions& options) {
+AtpgResult generate_transition_tests(
+    const FaultList& faults, const AtpgOptions& options,
+    const std::shared_ptr<const circuit::CompiledCircuit>& compiled) {
   const circuit::Circuit& circuit = faults.circuit();
   const std::size_t input_count = circuit.pattern_inputs().size();
 
   AtpgResult result{PatternSet(input_count)};
   std::vector<char> detected(faults.class_count(), 0);
-  // One compiled view for the whole run (see generate_stuck_at_tests).
-  const auto compiled = std::make_shared<const circuit::CompiledCircuit>(
-      circuit);
 
   // ---- Phase 1: random patterns, graded as consecutive pairs ----
   if (options.random_patterns > 1) {
@@ -266,15 +276,17 @@ AtpgResult generate_transition_tests(const FaultList& faults,
 }
 
 /// Classic reverse-order compaction for one-pattern (stuck-at) programs.
-PatternSet compact_stuck_at(const FaultList& faults,
-                            const PatternSet& patterns) {
+PatternSet compact_stuck_at(
+    const FaultList& faults, const PatternSet& patterns,
+    const std::shared_ptr<const circuit::CompiledCircuit>& compiled) {
   // Reverse the pattern order, fault-simulate with dropping, and keep the
   // patterns that first-detect at least one class.
   PatternSet reversed(patterns.input_count());
   for (std::size_t p = patterns.size(); p > 0; --p) {
     reversed.append(patterns.pattern(p - 1));
   }
-  const FaultSimResult sim_result = fault::simulate_ppsfp(faults, reversed);
+  const FaultSimResult sim_result =
+      fault::simulate_ppsfp(faults, reversed, nullptr, compiled);
 
   std::vector<char> keep_reversed(reversed.size(), 0);
   for (std::size_t c = 0; c < faults.class_count(); ++c) {
@@ -300,19 +312,17 @@ PatternSet compact_stuck_at(const FaultList& faults,
 /// halves of the last pair that detects each still-uncovered class. Kept
 /// pairs stay adjacent in the output, so every credited detection
 /// survives; seams between kept pairs can only add detections.
-PatternSet compact_transition(const FaultList& faults,
-                              const PatternSet& patterns) {
-  const circuit::Circuit& circuit = faults.circuit();
-
+PatternSet compact_transition(
+    const FaultList& faults, const PatternSet& patterns,
+    const std::shared_ptr<const circuit::CompiledCircuit>& compiled) {
   // The reverse greedy below keeps exactly the pair at each class's LAST
   // detecting capture index, so one O(class_count) vector of last
   // detections — updated as the forward grading pass walks the blocks —
   // carries everything the selection needs (no classes-by-blocks
   // detection matrix).
-  sim::ParallelSimulator good_sim(circuit);
-  fault::Propagator propagator(good_sim.compiled());
-  fault_model::TwoPatternWindow window(
-      propagator.compiled()->node_count());
+  sim::ParallelSimulator good_sim(compiled);
+  fault::Propagator propagator(compiled);
+  fault_model::TwoPatternWindow window(compiled->node_count());
   std::vector<std::int64_t> last_detection(faults.class_count(), -1);
   for (std::size_t b = 0; b < patterns.block_count(); ++b) {
     good_sim.simulate_block(patterns.block_words(b));
@@ -354,25 +364,29 @@ PatternSet compact_transition(const FaultList& faults,
 
 }  // namespace
 
-AtpgResult generate_tests(const FaultList& faults,
-                          const AtpgOptions& options) {
+AtpgResult generate_tests(
+    const FaultList& faults, const AtpgOptions& options,
+    std::shared_ptr<const circuit::CompiledCircuit> compiled) {
   // One entry point, two recipes: the list's model tag selects single-
   // pattern stuck-at generation or two-pattern launch/capture generation.
+  compiled = view_of(faults, std::move(compiled));
   if (faults.model() == fault_model::FaultModel::kTransition) {
-    return generate_transition_tests(faults, options);
+    return generate_transition_tests(faults, options, compiled);
   }
-  return generate_stuck_at_tests(faults, options);
+  return generate_stuck_at_tests(faults, options, compiled);
 }
 
-PatternSet reverse_order_compact(const FaultList& faults,
-                                 const PatternSet& patterns) {
+PatternSet reverse_order_compact(
+    const FaultList& faults, const PatternSet& patterns,
+    std::shared_ptr<const circuit::CompiledCircuit> compiled) {
   LSIQ_EXPECT(faults.circuit().finalized(),
               "reverse_order_compact: internal");
   if (patterns.empty()) return patterns;
+  compiled = view_of(faults, std::move(compiled));
   if (faults.model() == fault_model::FaultModel::kTransition) {
-    return compact_transition(faults, patterns);
+    return compact_transition(faults, patterns, compiled);
   }
-  return compact_stuck_at(faults, patterns);
+  return compact_stuck_at(faults, patterns, compiled);
 }
 
 }  // namespace lsiq::tpg

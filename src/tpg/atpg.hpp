@@ -19,7 +19,9 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 
+#include "circuit/compiled.hpp"
 #include "fault/fault_list.hpp"
 #include "fault/fault_sim.hpp"
 #include "sim/pattern.hpp"
@@ -63,8 +65,12 @@ struct AtpgResult {
 
 /// Random phase + PODEM phase with fault dropping after every new pattern
 /// (new pattern PAIR for a transition universe — see the header comment).
-AtpgResult generate_tests(const fault::FaultList& faults,
-                          const AtpgOptions& options = {});
+/// `compiled`, when non-null, must be a compiled view of faults.circuit();
+/// it is used instead of compiling one (it is a parameter, not an
+/// AtpgOptions field, because AtpgOptions compares as part of a spec).
+AtpgResult generate_tests(
+    const fault::FaultList& faults, const AtpgOptions& options = {},
+    std::shared_ptr<const circuit::CompiledCircuit> compiled = nullptr);
 
 /// Reverse-order static compaction: re-fault-simulate the set and keep
 /// only patterns needed to preserve every detected fault class. For a
@@ -75,8 +81,9 @@ AtpgResult generate_tests(const fault::FaultList& faults,
 /// launch pattern is never dropped without its capture and every credited
 /// pair stays adjacent in the output. Returns the compacted set (original
 /// order preserved among survivors); the compacted set detects every
-/// class the original set detects.
-sim::PatternSet reverse_order_compact(const fault::FaultList& faults,
-                                      const sim::PatternSet& patterns);
+/// class the original set detects. `compiled` as in generate_tests.
+sim::PatternSet reverse_order_compact(
+    const fault::FaultList& faults, const sim::PatternSet& patterns,
+    std::shared_ptr<const circuit::CompiledCircuit> compiled = nullptr);
 
 }  // namespace lsiq::tpg

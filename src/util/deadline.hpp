@@ -4,10 +4,11 @@
 // batch runner's per-spec deadline is COOPERATIVE: the thread that runs a
 // spec installs a DeadlineScope, and long-running loops poll poll_deadline()
 // at natural checkpoints — every failpoint site (util/failpoint.hpp) and
-// every 64-pattern block of the grading engines. When the deadline has
-// passed, the poll throws DeadlineExceeded (ErrorCode::kDeadline,
-// classified permanent), which unwinds the run cleanly through the same
-// error path as any other failure.
+// every 64-pattern block of the grading engines, on every grading thread
+// (workers adopt the caller's scopes through AdoptScopes). When the
+// deadline has passed, the poll throws DeadlineExceeded
+// (ErrorCode::kDeadline, classified permanent), which unwinds the run
+// cleanly through the same error path as any other failure.
 //
 // The disabled fast path is one thread-local pointer load — cheap enough
 // for per-block polling; the clock is only read while a scope is active.
@@ -74,6 +75,32 @@ class CancelScope {
 
  private:
   detail::DeadlineFrame frame_;
+};
+
+/// This thread's scope stack (nullptr when no scope is active), captured
+/// for an AdoptScopes on a worker thread.
+[[nodiscard]] inline const detail::DeadlineFrame* current_scopes() noexcept {
+  return detail::tl_deadline;
+}
+
+/// RAII for a worker thread that computes on another thread's behalf:
+/// installs `owner` — that thread's current_scopes() — as this thread's
+/// scope stack for the helper's lifetime, so the owner's deadline and
+/// cancel flags fire in the worker's polls too. The owner's scopes must
+/// outlive the helper: join the workers before those scopes unwind.
+class AdoptScopes {
+ public:
+  explicit AdoptScopes(const detail::DeadlineFrame* owner) noexcept
+      : saved_(detail::tl_deadline) {
+    detail::tl_deadline = owner;
+  }
+  ~AdoptScopes() { detail::tl_deadline = saved_; }
+
+  AdoptScopes(const AdoptScopes&) = delete;
+  AdoptScopes& operator=(const AdoptScopes&) = delete;
+
+ private:
+  const detail::DeadlineFrame* saved_;
 };
 
 /// True while a DeadlineScope is active on this thread.

@@ -13,6 +13,7 @@
 // fault_model::TwoPatternWindow.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -276,6 +277,94 @@ TEST(EngineEquivalence, StemRegionEdgeCases) {
             << shards << " shards";
       }
     }
+  }
+}
+
+/// serial vs every chunked lane count, byte for byte.
+void expect_lanes_match_serial(const FaultList& faults,
+                               const PatternSet& patterns,
+                               const StrobeSchedule* schedule = nullptr) {
+  const FaultSimResult serial = simulate_serial(faults, patterns, schedule);
+  EXPECT_EQ(serial.first_detection,
+            simulate_ppsfp(faults, patterns, schedule).first_detection);
+  for (const std::size_t lanes : {std::size_t{1}, std::size_t{2},
+                                  std::size_t{3}, std::size_t{4},
+                                  std::size_t{13}}) {
+    EXPECT_EQ(serial.first_detection,
+              simulate_ppsfp_mt(faults, patterns, schedule, lanes)
+                  .first_detection)
+        << lanes << " lanes";
+  }
+}
+
+TEST(EngineEquivalence, ChunkingWithFewerClassesThanLanes) {
+  // Three classes, thirteen lanes asked for: one chunk, one lane.
+  const Circuit c = circuit::read_bench_string(
+      "INPUT(a)\nOUTPUT(z)\nz = NOT(a)\n", "inverter");
+  for (const FaultModel model : {FaultModel::kStuckAt,
+                                 FaultModel::kTransition}) {
+    const FaultList faults = fault_model::universe(c, model);
+    ASSERT_LT(faults.class_count(), 13u);
+    expect_lanes_match_serial(
+        faults, random_program(c.pattern_inputs().size(), 70, 5));
+  }
+}
+
+TEST(EngineEquivalence, ChunkingWithOneStemGroupLargerThanAChunk) {
+  // A 64-input XOR tree is a single fanout-free region: every class
+  // shares the output stem, so the whole universe is one stem group,
+  // longer than a chunk and never split between lanes.
+  const Circuit c = circuit::make_parity_tree(64);
+  const circuit::CompiledCircuit compiled(c);
+  for (const FaultModel model : {FaultModel::kStuckAt,
+                                 FaultModel::kTransition}) {
+    const FaultList faults = fault_model::universe(c, model);
+    std::size_t largest_group = 0;
+    std::vector<std::size_t> group(compiled.ffr_count(), 0);
+    for (const Fault& rep : faults.representatives()) {
+      largest_group =
+          std::max(largest_group, ++group[compiled.ffr_rank(rep.gate)]);
+    }
+    ASSERT_GT(largest_group, 64u);
+    expect_lanes_match_serial(
+        faults, random_program(c.pattern_inputs().size(), 150, 11));
+  }
+}
+
+TEST(EngineEquivalence, ChunkingTransitionUnderProgressiveStrobes) {
+  // Many chunks over a multi-block transition program with progressive
+  // strobes: launch masks read the stored previous block at every block
+  // boundary of every chunk.
+  const Circuit c = circuit::make_array_multiplier(6);
+  const FaultList faults =
+      fault_model::universe(c, FaultModel::kTransition);
+  const StrobeSchedule schedule =
+      StrobeSchedule::progressive(c.observed_points().size(), 9);
+  expect_lanes_match_serial(
+      faults, random_program(c.pattern_inputs().size(), 300, 23),
+      &schedule);
+}
+
+TEST(EngineEquivalence, ChunkingAcrossGoodMachineWindows) {
+  // Programs longer than 4096 patterns grade in windows of 64 blocks.
+  // Nothing is strobed before pattern 4096, so first detections land on
+  // the window boundary, where a transition launch reads the previous
+  // window's last block.
+  const Circuit c = circuit::make_ripple_carry_adder(4);
+  const PatternSet patterns =
+      random_program(c.pattern_inputs().size(), 4200, 77);
+  const StrobeSchedule late = StrobeSchedule::from_start_patterns(
+      std::vector<std::size_t>(c.observed_points().size(), 4096));
+  for (const FaultModel model : {FaultModel::kStuckAt,
+                                 FaultModel::kTransition}) {
+    SCOPED_TRACE(model == FaultModel::kStuckAt ? "stuck_at" : "transition");
+    const FaultList faults = fault_model::universe(c, model);
+    expect_lanes_match_serial(faults, patterns, &late);
+    const FaultSimResult result =
+        simulate_ppsfp_mt(faults, patterns, &late, 2);
+    EXPECT_NE(std::find(result.first_detection.begin(),
+                        result.first_detection.end(), 4096),
+              result.first_detection.end());
   }
 }
 

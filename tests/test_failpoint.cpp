@@ -266,6 +266,46 @@ TEST(Deadline, ScopesAreThreadLocal) {
   EXPECT_THROW(poll_deadline(), DeadlineExceeded);
 }
 
+TEST(Deadline, AdoptedScopesFireOnAWorkerThread) {
+  // A worker computing on the caller's behalf adopts the caller's scope
+  // stack: the caller's expired deadline and set cancel flag fire in the
+  // worker's polls, and the worker's own stack comes back afterwards.
+  DeadlineScope scope(std::chrono::milliseconds(1));
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  const detail::DeadlineFrame* caller = current_scopes();
+  bool fired = false;
+  bool restored = false;
+  std::thread worker([&] {
+    {
+      const AdoptScopes adopt(caller);
+      try {
+        poll_deadline();
+      } catch (const DeadlineExceeded&) {
+        fired = true;
+      }
+    }
+    restored = !deadline_active();
+  });
+  worker.join();
+  EXPECT_TRUE(fired);
+  EXPECT_TRUE(restored);
+
+  std::atomic<bool> flag{true};
+  const CancelScope cancel(flag);
+  const detail::DeadlineFrame* cancelling = current_scopes();
+  bool cancelled = false;
+  std::thread other([&] {
+    const AdoptScopes adopt(cancelling);
+    try {
+      poll_deadline();
+    } catch (const lsiq::CancelledError&) {
+      cancelled = true;
+    }
+  });
+  other.join();
+  EXPECT_TRUE(cancelled);
+}
+
 TEST_F(FailpointTest, SleepActionTripsAnActiveDeadline) {
   // The canonical wedged-run simulation: a sleeping failpoint inside a
   // deadline scope must surface as DeadlineExceeded at the site itself

@@ -5,10 +5,17 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <filesystem>
+#include <system_error>
+
 #include "circuit/generators.hpp"
 #include "fault/shard.hpp"
+#include "fault_model/universe.hpp"
 #include "sim/parallel_sim.hpp"
 #include "tpg/lfsr.hpp"
+#include "util/deadline.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -366,6 +373,84 @@ TEST(FaultSimMt, StemSweepsIndependentOfLaneCount) {
     EXPECT_GE(sharded.stem_sweeps, single.stem_sweeps) << shards;
     EXPECT_LE(sharded.stem_sweeps, shards * bound) << shards;
     EXPECT_EQ(sharded.first_detection, single.first_detection);
+  }
+}
+
+/// Threads of this process, or 0 where /proc is not available.
+std::size_t live_thread_count() {
+  const std::filesystem::path tasks("/proc/self/task");
+  std::error_code error;
+  if (!std::filesystem::is_directory(tasks, error)) return 0;
+  std::size_t count = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(tasks, error)) {
+    (void)entry;
+    ++count;
+  }
+  return count;
+}
+
+TEST(FaultSimMt, DeadlineAndCancelFireMidGradeOnEveryLaneCount) {
+  // Every lane polls the caller's scopes, so an expired deadline or a set
+  // cancel flag ends the grade with the structured error on any lane
+  // count, and the call returns only once every worker has joined.
+  const Circuit c = circuit::make_array_multiplier(16);
+  const FaultList faults = FaultList::full_universe(c);
+  const PatternSet patterns =
+      tpg::lfsr_patterns(c.pattern_inputs().size(), 4096, 1981);
+  // Graded once first: the count below is taken after the first worker
+  // ever started (a sanitizer runtime starts a thread of its own then).
+  const FaultSimResult graded =
+      simulate_ppsfp_mt(faults, patterns, nullptr, 4);
+  const std::size_t threads_before = live_thread_count();
+  for (const std::size_t lanes : {std::size_t{1}, std::size_t{2},
+                                  std::size_t{4}}) {
+    {
+      const util::DeadlineScope expired(std::chrono::milliseconds(0));
+      EXPECT_THROW((void)simulate_ppsfp_mt(faults, patterns, nullptr, lanes),
+                   DeadlineExceeded)
+          << lanes << " lanes";
+    }
+    EXPECT_EQ(live_thread_count(), threads_before) << lanes << " lanes";
+    {
+      std::atomic<bool> flag{true};
+      const util::CancelScope cancel(flag);
+      EXPECT_THROW((void)simulate_ppsfp_mt(faults, patterns, nullptr, lanes),
+                   CancelledError)
+          << lanes << " lanes";
+    }
+    EXPECT_EQ(live_thread_count(), threads_before) << lanes << " lanes";
+  }
+  EXPECT_EQ(graded.first_detection,
+            simulate_ppsfp(faults, patterns).first_detection);
+}
+
+TEST(FaultSimMt, StemSweepsEqualAcrossLaneCountsForBothModels) {
+  // Chunks are whole stem groups, so every lane count performs exactly
+  // the sweeps of one lane — stuck-at under full observation and
+  // transition under progressive strobes alike.
+  const Circuit c = circuit::make_array_multiplier(12);
+  const PatternSet patterns =
+      tpg::lfsr_patterns(c.pattern_inputs().size(), 1024, 7);
+  const StrobeSchedule progressive =
+      StrobeSchedule::progressive(c.observed_points().size(), 24);
+  for (const auto model : {fault_model::FaultModel::kStuckAt,
+                           fault_model::FaultModel::kTransition}) {
+    const bool transition = model == fault_model::FaultModel::kTransition;
+    const FaultList faults = fault_model::universe(c, model);
+    const StrobeSchedule* schedule = transition ? &progressive : nullptr;
+    const FaultSimResult one =
+        simulate_ppsfp_mt(faults, patterns, schedule, 1);
+    EXPECT_GT(one.stem_sweeps, 0u);
+    for (const std::size_t lanes : {std::size_t{2}, std::size_t{3},
+                                    std::size_t{4}, std::size_t{13}}) {
+      const FaultSimResult many =
+          simulate_ppsfp_mt(faults, patterns, schedule, lanes);
+      EXPECT_EQ(many.stem_sweeps, one.stem_sweeps)
+          << lanes << " lanes, transition " << transition;
+      EXPECT_EQ(many.first_detection, one.first_detection)
+          << lanes << " lanes, transition " << transition;
+    }
   }
 }
 

@@ -2,6 +2,7 @@
 #include "tpg/lfsr.hpp"
 
 #include <set>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -113,6 +114,45 @@ TEST(RandomWalkPatterns, DeterministicPerSeed) {
 TEST(RandomWalkPatterns, DomainChecks) {
   EXPECT_THROW(random_walk_patterns(8, 10, 0, 1), ContractViolation);
   EXPECT_THROW(random_walk_patterns(8, 10, 9, 1), ContractViolation);
+}
+
+/// The bit-serial definition of lfsr_patterns: the register clocked
+/// input_count times per pattern, one output bit per input.
+sim::PatternSet bit_serial_patterns(std::size_t input_count,
+                                    std::size_t count, std::uint64_t seed,
+                                    int width) {
+  Lfsr lfsr(width, seed);
+  sim::PatternSet patterns(input_count);
+  std::vector<bool> pattern(input_count);
+  for (std::size_t n = 0; n < count; ++n) {
+    for (std::size_t i = 0; i < input_count; ++i) {
+      pattern[i] = lfsr.next_bit();
+    }
+    patterns.append(pattern);
+  }
+  return patterns;
+}
+
+TEST(LfsrPatterns, WordParallelProgramMatchesBitSerialRegister) {
+  // Every register width, input counts on both sides of the 64-input
+  // transpose tiles, pattern counts on both sides of a block, and seeds
+  // including the fixed-up zero and an all-ones seed wider than the
+  // register.
+  for (const int width : {4, 8, 16, 24, 32, 48, 64}) {
+    for (const std::size_t inputs : {1u, 3u, 31u, 48u, 64u, 65u, 130u}) {
+      for (const std::size_t count : {1u, 63u, 64u, 65u, 1000u}) {
+        for (const std::uint64_t seed : {0ULL, 1ULL, 7ULL, ~0ULL}) {
+          if (lfsr_patterns(inputs, count, seed, width) !=
+              bit_serial_patterns(inputs, count, seed, width)) {
+            ADD_FAILURE() << "width " << width << ", " << inputs
+                          << " inputs, " << count << " patterns, seed "
+                          << seed;
+            return;
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(LfsrPatterns, BitsAreRoughlyBalanced) {

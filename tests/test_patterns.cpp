@@ -152,6 +152,31 @@ TEST(PatternSet, WordLevelSliceMatchesBitByBitOnUnalignedRanges) {
   }
 }
 
+TEST(PatternSet, AppendBlockMatchesBitwiseAppendAtAnyOffset) {
+  // Word-level appends of 1..64 patterns onto sets of every lane offset
+  // equal the same patterns appended one by one; lanes past `count` in
+  // the given words are dropped, so operator== still compares bits.
+  util::Rng rng(5);
+  for (const std::size_t prefix : {0u, 1u, 37u, 63u, 64u, 100u}) {
+    for (const std::size_t count : {1u, 17u, 63u, 64u}) {
+      PatternSet words(3);
+      words.append_random(prefix, rng);
+      PatternSet bits = words;
+      std::vector<std::uint64_t> block(3);
+      for (std::uint64_t& word : block) word = rng.next_u64();
+      words.append_block(block, count);
+      for (std::size_t p = 0; p < count; ++p) {
+        bits.append({((block[0] >> p) & 1) != 0, ((block[1] >> p) & 1) != 0,
+                     ((block[2] >> p) & 1) != 0});
+      }
+      EXPECT_EQ(words, bits) << prefix << " + " << count;
+    }
+  }
+  PatternSet p(2);
+  EXPECT_THROW(p.append_block({1}, 1), ContractViolation);
+  EXPECT_THROW(p.append_block({1, 1}, 65), ContractViolation);
+}
+
 TEST(PatternSet, AppendAllConcatenates) {
   PatternSet a(2);
   a.append({true, false});
