@@ -1,10 +1,14 @@
 #include "bist/session.hpp"
 
 #include <algorithm>
+#include <array>
+#include <atomic>
 #include <bit>
+#include <span>
 
 #include "fault/fault_sim.hpp"
-#include "sim/parallel_sim.hpp"
+#include "fault/stem_grading.hpp"
+#include "fault_model/transition.hpp"
 #include "tpg/lfsr.hpp"
 #include "util/deadline.hpp"
 #include "util/error.hpp"
@@ -26,22 +30,107 @@ std::vector<std::size_t> class_weights(const fault::FaultList& faults) {
   return weights;
 }
 
-/// Grading order: every class, sorted by non-increasing fault-site level
-/// (ties in class order) — the resimulation fast path, same rationale as
-/// the PPSFP engines. No fault dropping here: aliasing is a property of
-/// the whole error history, so every class is graded on every block.
-std::vector<std::uint32_t> grading_order(const fault::FaultList& faults,
-                                         const CompiledCircuit& compiled) {
-  std::vector<std::uint32_t> order(faults.class_count());
-  for (std::size_t c = 0; c < order.size(); ++c) {
-    order[c] = static_cast<std::uint32_t>(c);
+/// A lane's scratch: the swept stem's per-point words, and per pattern p
+/// of the block the MISR input word its flip produces — the XOR of
+/// input_bit(i) over the points i the flipped stem reaches in pattern p.
+struct StemInputs {
+  std::vector<std::uint64_t> point_words;
+  std::array<std::uint64_t, 64> inputs{};
+};
+
+/// Per-class grading state. The MISR is linear, so each class carries
+/// only the signature DIFFERENCE delta = good xor faulty, driven by the
+/// class's error bits: delta stays zero until the first error, and the
+/// class ends signature-detected iff delta != 0 after the last pattern.
+struct ClassStates {
+  std::vector<std::uint64_t> delta;
+  std::vector<std::int64_t> first_error;
+  std::vector<std::int64_t> first_divergence;
+};
+
+/// Grade live[0, count) — whole stem groups in sorted_live_list order —
+/// over block b, whose good machine `propagator` was begin_block'ed on.
+/// Every class is graded on every block: aliasing is a property of the
+/// whole error history, so nothing is dropped. A class's error word at
+/// observed point i is its local word AND the stem's point word i (a DFF
+/// D-pin capture errs at its own scan point only), so each stem is swept
+/// once per block and its MISR inputs computed once for the group.
+void grade_block(fault::Propagator& propagator,
+                 const fault::FaultList& faults, const Misr& misr,
+                 const std::uint32_t* live, std::size_t count,
+                 std::span<const std::uint64_t> good,
+                 const std::uint64_t* previous, bool transition,
+                 std::size_t b, std::size_t valid, std::uint64_t block_mask,
+                 StemInputs& stem_inputs, ClassStates& states) {
+  const CompiledCircuit& c = *propagator.compiled();
+  const std::int64_t base = static_cast<std::int64_t>(b) * 64;
+  GateId stem = circuit::kNoGate;
+  bool swept = false;
+  std::uint64_t observed = 0;
+  for (std::size_t k = 0; k < count; ++k) {
+    const std::uint32_t cls = live[k];
+    const fault::Fault& rep = faults.representatives()[cls];
+    const GateId rep_stem = c.ffr_stem(rep.gate);
+    if (rep_stem != stem) {
+      stem = rep_stem;
+      swept = false;
+    }
+    // Transition universes gate the error words with the fault line's
+    // launch mask (see fault_model/transition.hpp): lanes without a
+    // launch see good outputs, so a zero mask leaves the block error-free.
+    const std::uint64_t launch =
+        transition ? fault_model::launch_mask(fault_line(c, rep),
+                                              rep.stuck_at_one, good.data(),
+                                              previous)
+                   : ~0ULL;
+    bool captured = false;
+    std::uint64_t detect = 0;
+    if (launch != 0) {
+      detect = propagator.local_word(rep, good, nullptr, &captured) & launch;
+      if (detect != 0 && !captured) {
+        if (!swept) {
+          observed = propagator.stem_observation(
+              stem, good, nullptr, stem_inputs.point_words.data());
+          stem_inputs.inputs.fill(0);
+          for (std::size_t i = 0; i < stem_inputs.point_words.size(); ++i) {
+            for (std::uint64_t w = stem_inputs.point_words[i]; w != 0;
+                 w &= w - 1) {
+              stem_inputs.inputs[std::countr_zero(w)] ^= misr.input_bit(i);
+            }
+          }
+          swept = true;
+        }
+        detect &= observed;
+      }
+    }
+    std::uint64_t d = states.delta[cls];
+    if (d == 0 && detect == 0) continue;  // difference stays zero
+
+    std::uint64_t captured_input = 0;
+    if (captured) {
+      const std::uint32_t point = c.point_index(rep.gate);
+      LSIQ_EXPECT(point != CompiledCircuit::kNoPoint,
+                  "BistSession: DFF gate has no scan-capture point");
+      captured_input = misr.input_bit(point);
+    }
+    std::int64_t& first_divergence = states.first_divergence[cls];
+    for (std::size_t p = 0; p < valid; ++p) {
+      std::uint64_t compacted = 0;
+      if ((detect >> p) & 1ULL) {
+        compacted = captured ? captured_input : stem_inputs.inputs[p];
+      }
+      d = misr.next(d, compacted);
+      if (d != 0 && first_divergence < 0) {
+        first_divergence = base + static_cast<std::int64_t>(p);
+      }
+    }
+    states.delta[cls] = d;
+
+    const std::uint64_t masked = detect & block_mask;
+    if (masked != 0 && states.first_error[cls] < 0) {
+      states.first_error[cls] = base + std::countr_zero(masked);
+    }
   }
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::uint32_t a, std::uint32_t b) {
-                     return compiled.level(faults.representatives()[a].gate) >
-                            compiled.level(faults.representatives()[b].gate);
-                   });
-  return order;
 }
 
 }  // namespace
@@ -119,114 +208,78 @@ BistResult BistSession::run(std::size_t num_threads) const {
   const std::vector<GateId>& points = c.observed_points();
   const std::size_t point_count = points.size();
   const Misr misr(config_.misr_width, config_.misr_taps);
+  const bool transition =
+      faults.model() == fault_model::FaultModel::kTransition;
 
+  const std::size_t classes = faults.class_count();
+  ClassStates states{std::vector<std::uint64_t>(classes, 0),
+                     std::vector<std::int64_t>(classes, -1),
+                     std::vector<std::int64_t>(classes, -1)};
+
+  // Stem groups cut into chunks; each lane claims chunks and grades each
+  // through every block of the window with its own Propagator. A class
+  // belongs to one chunk, and a chunk walks the blocks in program order
+  // on one lane, so every state slot has a single writer at a time and
+  // the result is bit-identical for any lane count.
+  const std::vector<std::uint32_t> live =
+      fault::sorted_live_list(faults, c, 0, classes);
+  const std::vector<fault::Chunk> chunks =
+      fault::stem_group_chunks(faults, c, live);
+  const std::size_t lanes =
+      std::min(util::resolve_worker_count(num_threads), chunks.size());
+  std::vector<fault::Propagator> propagators;
+  std::vector<StemInputs> scratch(lanes);
+  propagators.reserve(lanes);
+  for (std::size_t t = 0; t < lanes; ++t) {
+    propagators.emplace_back(compiled_);
+    scratch[t].point_words.resize(point_count);
+  }
+
+  fault::GoodWindow window(compiled_, patterns_, nullptr);
+  Misr reference = misr;
   const std::size_t block_count = patterns_.block_count();
   const auto lanes_in_block = [&](std::size_t b) {
     return std::min<std::size_t>(64, patterns_.size() - b * 64);
   };
-
-  // Per-class grading state. The MISR is linear, so each class carries
-  // only the signature DIFFERENCE delta = good xor faulty, driven by the
-  // class's error bits: delta stays zero until the first error, and the
-  // class ends signature-detected iff delta != 0 after the last pattern.
-  const std::size_t classes = faults.class_count();
-  std::vector<std::uint64_t> delta(classes, 0);
-  std::vector<std::int64_t> first_error(classes, -1);
-  std::vector<std::int64_t> first_divergence(classes, -1);
-
-  const std::vector<std::uint32_t> order = grading_order(faults, c);
-
-  util::ThreadPool pool(num_threads);
-  const std::size_t lanes = pool.size();
-  std::vector<fault::Propagator> propagators;
-  propagators.reserve(lanes);
-  for (std::size_t t = 0; t < lanes; ++t) {
-    propagators.emplace_back(compiled_);
-  }
-  std::vector<std::vector<std::uint64_t>> lane_diffs(lanes);
-
-  // Transition universes gate every per-point error word with the fault
-  // line's launch mask (see fault_model/transition.hpp): a slow line only
-  // corrupts the response stream on capture patterns whose predecessor
-  // launched the transition; everywhere else the faulty chip's outputs —
-  // and hence its signature input — match the good machine. The window is
-  // advanced on the main thread between blocks and read-only in the lanes.
-  const bool transition =
-      faults.model() == fault_model::FaultModel::kTransition;
-  fault_model::TwoPatternWindow window(transition ? c.node_count() : 0);
-
-  // Streamed, block-outer, fault-inner, strided across lanes: each block
-  // is simulated once, folded into the reference signature, and graded
-  // while its values are live — session memory is O(node_count),
-  // independent of session length. Each class index is owned by one lane
-  // for the whole session (the stride mapping never changes — no
-  // dropping), so every delta / first_* slot has a single writer and the
-  // result is bit-identical for any worker count.
-  sim::ParallelSimulator good_sim(compiled_);
-  Misr reference = misr;
-  for (std::size_t b = 0; b < block_count; ++b) {
-    // Cooperative watchdog checkpoint, once per block (free when no
-    // deadline is active).
-    util::poll_deadline();
-    good_sim.simulate_block(patterns_.block_words(b));
-    const std::vector<std::uint64_t>& good = good_sim.values();
-    const std::size_t valid = lanes_in_block(b);
-    const std::uint64_t block_mask = patterns_.block_mask(b);
-    const std::int64_t base = static_cast<std::int64_t>(b) * 64;
-
-    for (std::size_t p = 0; p < valid; ++p) {
-      std::uint64_t compacted = 0;
-      for (std::size_t i = 0; i < point_count; ++i) {
-        if ((good[points[i]] >> p) & 1ULL) compacted ^= misr.input_bit(i);
-      }
-      reference.step(compacted);
+  for (std::size_t first = 0; first < block_count;
+       first += fault::kWindowBlocks) {
+    const std::size_t last =
+        std::min(block_count, first + fault::kWindowBlocks);
+    window.reset(first, last);
+    std::atomic<std::size_t> cursor{0};
+    if (lanes != 0) {
+      fault::run_lanes(lanes, [&](std::size_t lane,
+                                  const std::atomic<bool>& stop) {
+        fault::Propagator& propagator = propagators[lane];
+        for (std::size_t k = cursor.fetch_add(1, std::memory_order_relaxed);
+             k < chunks.size() && !stop.load(std::memory_order_relaxed);
+             k = cursor.fetch_add(1, std::memory_order_relaxed)) {
+          for (std::size_t b = first; b < last; ++b) {
+            // Cooperative watchdog checkpoint (free when no deadline is
+            // active; workers see the caller's scopes).
+            util::poll_deadline();
+            const std::span<const std::uint64_t> good = window.block(b);
+            propagator.begin_block(good);
+            grade_block(propagator, faults, misr,
+                        live.data() + chunks[k].begin, chunks[k].live, good,
+                        window.previous(b), transition, b, lanes_in_block(b),
+                        patterns_.block_mask(b), scratch[lane], states);
+          }
+        }
+      });
     }
 
-    pool.run([&](std::size_t lane) {
-      if (lane >= order.size()) return;
-      fault::Propagator& propagator = propagators[lane];
-      propagator.begin_block(good);
-      std::vector<std::uint64_t>& diffs = lane_diffs[lane];
-      for (std::size_t i = lane; i < order.size(); i += lanes) {
-        const std::uint32_t cls = order[i];
-        const fault::Fault& rep = faults.representatives()[cls];
-        // Lanes without a launch see good outputs, so a zero launch mask
-        // makes the whole block error-free without any propagation (the
-        // same short-circuit detect_word_transition performs); the
-        // evolution loop below reads diffs[] only where a detect bit
-        // survives, so gating the OR word is gating every point.
-        const std::uint64_t launch =
-            transition ? window.launch_mask(fault_line(c, rep),
-                                            rep.stuck_at_one, good.data())
-                       : ~0ULL;
-        const std::uint64_t detect =
-            launch == 0
-                ? 0
-                : propagator.point_diff_words(rep, good, diffs) & launch;
-        std::uint64_t d = delta[cls];
-        if (d == 0 && detect == 0) continue;  // difference stays zero
-
-        for (std::size_t p = 0; p < valid; ++p) {
-          std::uint64_t compacted = 0;
-          if ((detect >> p) & 1ULL) {
-            for (std::size_t j = 0; j < point_count; ++j) {
-              if ((diffs[j] >> p) & 1ULL) compacted ^= misr.input_bit(j);
-            }
-          }
-          d = misr.next(d, compacted);
-          if (d != 0 && first_divergence[cls] < 0) {
-            first_divergence[cls] = base + static_cast<std::int64_t>(p);
-          }
+    // The reference signature: the good responses, pattern by pattern.
+    for (std::size_t b = first; b < last; ++b) {
+      const std::span<const std::uint64_t> good = window.block(b);
+      for (std::size_t p = 0; p < lanes_in_block(b); ++p) {
+        std::uint64_t compacted = 0;
+        for (std::size_t i = 0; i < point_count; ++i) {
+          if ((good[points[i]] >> p) & 1ULL) compacted ^= misr.input_bit(i);
         }
-        delta[cls] = d;
-
-        const std::uint64_t masked = detect & block_mask;
-        if (masked != 0 && first_error[cls] < 0) {
-          first_error[cls] = base + std::countr_zero(masked);
-        }
+        reference.step(compacted);
       }
-    });
-    if (transition) window.advance(good);
+    }
   }
 
   // Fold per-class outcomes into the result.
@@ -235,12 +288,12 @@ BistResult BistSession::run(std::size_t num_threads) const {
   result.misr_width = misr.width();
   result.good_signature = reference.signature();
   result.fault_signatures.resize(classes);
-  result.first_error_pattern = std::move(first_error);
-  result.first_divergence_pattern = std::move(first_divergence);
+  result.first_error_pattern = std::move(states.first_error);
+  result.first_divergence_pattern = std::move(states.first_divergence);
   for (std::size_t cls = 0; cls < classes; ++cls) {
-    result.fault_signatures[cls] = result.good_signature ^ delta[cls];
+    result.fault_signatures[cls] = result.good_signature ^ states.delta[cls];
     const bool raw = result.first_error_pattern[cls] >= 0;
-    const bool by_signature = delta[cls] != 0;
+    const bool by_signature = states.delta[cls] != 0;
     if (raw) {
       ++result.raw_detected_classes;
       result.raw_covered_faults += faults.class_size(cls);

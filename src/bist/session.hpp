@@ -20,7 +20,10 @@
 // fault is graded by evolving the signature *difference* with the
 // fault's per-point error words as input — zero state and zero errors
 // short-circuit, so undetected faults cost almost nothing beyond their
-// propagation check. The result feeds fault::CoverageCurve and the
+// propagation check. The error words come from the stem-region kernel
+// (fault::Propagator): a fault's error at a point is its local word AND
+// its fanout-free-region stem's per-point observation word, so each stem
+// costs one sweep per block, shared by every class of its region. The result feeds fault::CoverageCurve and the
 // quality stack (core::QualityAnalyzer), which turns the aliasing loss
 // into a DPPM statement à la Figures 1-4.
 #pragma once
@@ -49,11 +52,12 @@ struct BistConfig {
   /// selects the standard polynomial for the width (see bist::Misr).
   int misr_width = 32;
   std::uint64_t misr_taps = 0;
-  /// Grading worker threads (always a util::ThreadPool, even for 1),
-  /// following the shared util::resolve_worker_count convention: 0 = one
-  /// per hardware thread, n = exactly n. Every value produces
-  /// bit-identical results (each fault class is owned by exactly one
-  /// lane; nothing is reduced across lanes).
+  /// Grading lanes, following the shared util::resolve_worker_count
+  /// convention: 0 = one per hardware thread, n = n lanes (never more than
+  /// there are chunks of stem groups to grade). The caller's thread is
+  /// lane 0, so 1 starts no thread. Every value produces bit-identical
+  /// results (each fault class is owned by exactly one chunk; nothing is
+  /// reduced across lanes).
   std::size_t num_threads = 1;
 
   /// When non-null, a compiled view of the session's circuit to share
@@ -83,10 +87,10 @@ class BistSession {
     return patterns_;
   }
 
-  /// Grade the session with config().num_threads workers.
+  /// Grade the session on config().num_threads lanes.
   [[nodiscard]] BistResult run() const;
 
-  /// Same session, explicit worker count (bit-identical for any value).
+  /// Same session, explicit lane count (bit-identical for any value).
   [[nodiscard]] BistResult run(std::size_t num_threads) const;
 
  private:

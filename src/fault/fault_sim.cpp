@@ -4,11 +4,11 @@
 #include <atomic>
 #include <bit>
 #include <cassert>
-#include <exception>
 #include <mutex>
-#include <thread>
 #include <utility>
 
+#include "fault/stem_grading.hpp"
+#include "fault_model/transition.hpp"
 #include "sim/parallel_sim.hpp"
 #include "util/deadline.hpp"
 #include "util/error.hpp"
@@ -24,12 +24,12 @@ using circuit::GateType;
 
 // ---- Propagator ----
 //
-// Both kernels share the work_ scratch: a copy of the current block's
-// good-machine words (begin_block), locally overwritten with the faulty
-// machine while one fault is in flight. Keeping the scratch clean between
-// calls is what lets gate evaluation read a single value array with no
-// per-operand bookkeeping. All topology reads go through the compiled CSR
-// arrays.
+// Both kernel halves read the caller's good block; the suffix sweep of
+// stem_observation also needs a scratch copy of it (work_), which it
+// overwrites with the faulty machine from the stem's level up. The copy
+// is made by the block's first sweep, so a block whose classes all mask
+// inside their regions never makes it. All topology reads go through the
+// compiled CSR arrays.
 
 namespace {
 
@@ -50,38 +50,18 @@ Propagator::Propagator(const Circuit& circuit)
 
 Propagator::Propagator(std::shared_ptr<const CompiledCircuit> compiled)
     : compiled_(require_compiled(std::move(compiled), "Propagator")),
-      queued_(compiled_->node_count(), 0),
-      buckets_(compiled_->depth() + 1),
-      work_(compiled_->node_count(), 0) {
-  touched_.reserve(compiled_->node_count());
-}
-
-void Propagator::schedule_fanout(GateId id) {
-  const CompiledCircuit& c = *compiled_;
-  const GateId* readers = c.fanout(id);
-  const std::size_t count = c.fanout_count(id);
-  for (std::size_t i = 0; i < count; ++i) {
-    const GateId reader = readers[i];
-    if (c.type(reader) == GateType::kDff) continue;  // capture boundary
-    if (queued_[reader] != 0) continue;
-    queued_[reader] = 1;
-    const std::size_t level = c.level(reader);
-    buckets_[level].push_back(reader);
-    max_level_ = std::max(max_level_, level);
-  }
-}
+      work_(compiled_->node_count(), 0) {}
 
 void Propagator::begin_block(std::span<const std::uint64_t> good) {
   const std::size_t n = compiled_->node_count();
   LSIQ_EXPECT(good.size() == n || good.size() == n + 1,
               "begin_block: good values must cover every gate");
   // A ParallelSimulator buffer carries its block epoch in the trailing
-  // word; remember it so the detect paths can catch a buffer that was
+  // word; remember it so the kernels can catch a buffer that was
   // re-simulated after this sync. Hand-built n-word buffers have no
   // stamp and opt out of the check (stamp_ = 0 is never a real epoch).
   stamp_ = good.size() == n + 1 ? good[n] : 0;
-  work_.assign(good.begin(), good.begin() + static_cast<std::ptrdiff_t>(n));
-  dirty_level_ = compiled_->depth() + 1;  // nothing written yet
+  work_copied_ = false;  // the block's first sweep copies it
   block_synced_ = true;
 }
 
@@ -100,19 +80,6 @@ void Propagator::check_sync(std::span<const std::uint64_t> good,
                     "after begin_block; call begin_block again for the new "
                     "block");
   }
-}
-
-/// Restore the good view over the resimulation dirty suffix, so the wave
-/// kernel can interleave with detect_word_resim on one scratch.
-void Propagator::sweep_clean(const std::uint64_t* good) {
-  const CompiledCircuit& c = *compiled_;
-  if (dirty_level_ > c.depth()) return;
-  const auto& order = c.eval_order();
-  for (std::size_t i = c.eval_level_begin(dirty_level_); i < order.size();
-       ++i) {
-    work_[order[i]] = good[order[i]];
-  }
-  dirty_level_ = c.depth() + 1;
 }
 
 bool Propagator::resolve_site(const Fault& fault, const std::uint64_t* good,
@@ -154,129 +121,6 @@ bool Propagator::resolve_site(const Fault& fault, const std::uint64_t* good,
   return false;
 }
 
-std::uint64_t Propagator::detect_word(
-    const Fault& fault, std::span<const std::uint64_t> good_values,
-    const std::vector<std::uint64_t>* point_masks) {
-  check_sync(good_values, "detect_word");
-  const CompiledCircuit& c = *compiled_;
-  const std::uint64_t* good = good_values.data();
-
-  std::uint64_t resolved = 0;
-  std::uint64_t faulty_site = 0;
-  if (resolve_site(fault, good, point_masks, &resolved, &faulty_site)) {
-    return resolved;
-  }
-
-  sweep_clean(good);
-  std::uint64_t* work = work_.data();
-  const GateId site = fault.gate;
-  work[site] = faulty_site;
-  touched_.push_back(site);
-  const std::size_t site_level = c.level(site);
-  max_level_ = site_level;
-  schedule_fanout(site);
-
-  // Level-ordered wave; every scheduled gate has level > its scheduler.
-  // Untouched operands read their good value straight from work, so
-  // evaluation needs no faulty/good merge.
-  for (std::size_t level = site_level; level <= max_level_; ++level) {
-    auto& bucket = buckets_[level];
-    for (std::size_t i = 0; i < bucket.size(); ++i) {
-      const GateId id = bucket[i];
-      queued_[id] = 0;
-      const std::uint64_t value = c.eval_word(id, work);
-      if (value != work[id]) {
-        // A gate is evaluated at most once per wave, so work[id] still
-        // holds the good value and the difference is a real fault effect.
-        work[id] = value;
-        touched_.push_back(id);
-        schedule_fanout(id);
-      }
-    }
-    bucket.clear();
-  }
-
-  // Observation: untouched points satisfy work == good, contributing 0.
-  std::uint64_t detect = 0;
-  const auto& points = c.observed_points();
-  if (point_masks == nullptr) {
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      detect |= work[points[i]] ^ good[points[i]];
-    }
-  } else {
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      detect |= (work[points[i]] ^ good[points[i]]) & (*point_masks)[i];
-    }
-  }
-
-  // Restore the good view for the next fault.
-  for (const GateId id : touched_) {
-    work[id] = good[id];
-  }
-  touched_.clear();
-  return detect;
-}
-
-void Propagator::resimulate(GateId site, std::uint64_t value) {
-  // One flat sweep over the level-sorted suffix recomputes the faulty
-  // machine: gates off the site's cone re-derive their good values, gates
-  // on it their faulty ones. Starting at min(site level, dirty level)
-  // also overwrites everything the previous sweep left behind, which is a
-  // no-op start when sites arrive sorted by non-increasing level.
-  const CompiledCircuit& c = *compiled_;
-  const std::size_t site_level = c.level(site);
-  work_[site] = value;
-  c.eval_suffix(std::min(site_level, dirty_level_), work_.data(), site);
-  dirty_level_ = site_level;
-}
-
-void Propagator::clear_source_site(GateId site, const std::uint64_t* good) {
-  // A source site (input or flip-flop stem) is never re-evaluated by any
-  // later sweep, so its injected value must be cleared by hand; evaluable
-  // sites are overwritten naturally once the next sweep reaches them.
-  const GateType t = compiled_->type(site);
-  if (t == GateType::kInput || t == GateType::kDff) work_[site] = good[site];
-}
-
-std::uint64_t Propagator::observe(
-    const std::uint64_t* good,
-    const std::vector<std::uint64_t>* point_masks) const {
-  // Points the last sweep did not reach satisfy work == good, so their
-  // diff is 0 without any reached-set bookkeeping.
-  const std::uint64_t* work = work_.data();
-  const auto& points = compiled_->observed_points();
-  std::uint64_t detect = 0;
-  if (point_masks == nullptr) {
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      detect |= work[points[i]] ^ good[points[i]];
-    }
-  } else {
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      detect |= (work[points[i]] ^ good[points[i]]) & (*point_masks)[i];
-    }
-  }
-  return detect;
-}
-
-std::uint64_t Propagator::detect_word_resim(
-    const Fault& fault, std::span<const std::uint64_t> good_values,
-    const std::vector<std::uint64_t>* point_masks) {
-  check_sync(good_values, "detect_word_resim");
-  const std::uint64_t* good = good_values.data();
-
-  // Site evaluation reads the caller's good array (always clean; work_ may
-  // hold the previous sweep's machine at levels >= dirty_level_).
-  std::uint64_t resolved = 0;
-  std::uint64_t faulty_site = 0;
-  if (resolve_site(fault, good, point_masks, &resolved, &faulty_site)) {
-    return resolved;
-  }
-  resimulate(fault.gate, faulty_site);
-  const std::uint64_t detect = observe(good, point_masks);
-  clear_source_site(fault.gate, good);
-  return detect;
-}
-
 std::uint64_t Propagator::local_word(
     const Fault& fault, std::span<const std::uint64_t> good_values,
     const std::vector<std::uint64_t>* point_masks, bool* captured) {
@@ -308,70 +152,49 @@ std::uint64_t Propagator::local_word(
 
 std::uint64_t Propagator::stem_observation(
     GateId stem, std::span<const std::uint64_t> good_values,
-    const std::vector<std::uint64_t>* point_masks) {
+    const std::vector<std::uint64_t>* point_masks,
+    std::uint64_t* point_words) {
   check_sync(good_values, "stem_observation");
-  const std::uint64_t* good = good_values.data();
-  ++stem_sweeps_;
-  resimulate(stem, ~good[stem]);
-  const std::uint64_t detect = observe(good, point_masks);
-  clear_source_site(stem, good);
-  return detect;
-}
-
-std::uint64_t Propagator::detect_word_transition(
-    const Fault& fault, std::span<const std::uint64_t> good,
-    const fault_model::TwoPatternWindow& window,
-    const std::vector<std::uint64_t>* point_masks) {
-  check_sync(good, "detect_word_transition");
-  const std::uint64_t launch = window.launch_mask(
-      fault_line(*compiled_, fault), fault.stuck_at_one, good.data());
-  if (launch == 0) return 0;  // no lane launched: capture cannot matter
-  return detect_word_resim(fault, good, point_masks) & launch;
-}
-
-std::uint64_t Propagator::point_diff_words(
-    const Fault& fault, std::span<const std::uint64_t> good_values,
-    std::vector<std::uint64_t>& diffs) {
-  check_sync(good_values, "point_diff_words");
   const CompiledCircuit& c = *compiled_;
   const std::uint64_t* good = good_values.data();
-  const auto& points = c.observed_points();
-  diffs.assign(points.size(), 0);
-
-  std::uint64_t resolved = 0;
-  std::uint64_t faulty_site = 0;
-  if (resolve_site(fault, good, nullptr, &resolved, &faulty_site)) {
-    // Either the fault effect never appears at the site (resolved == 0,
-    // all diffs stay zero) or this is a DFF D-pin capture whose whole
-    // difference lands on that flip-flop's pseudo primary output.
-    if (resolved != 0) {
-      const std::uint32_t point = c.point_index(fault.gate);
-      LSIQ_EXPECT(point != CompiledCircuit::kNoPoint,
-                  "point_diff_words: DFF gate has no scan-capture point");
-      diffs[point] = resolved;
-    }
-    return resolved;
+  ++stem_sweeps_;
+  if (!work_copied_) {
+    std::copy_n(good, c.node_count(), work_.data());
+    dirty_level_ = c.depth() + 1;  // nothing written yet
+    work_copied_ = true;
   }
 
-  // Same suffix sweep as detect_word_resim; only the observation differs
-  // — per point instead of OR.
-  resimulate(fault.gate, faulty_site);
+  // One flat sweep over the level-sorted suffix recomputes the faulty
+  // machine: gates off the stem's cone re-derive their good values, gates
+  // on it their faulty ones. Starting at min(stem level, dirty level)
+  // also overwrites everything the previous sweep left behind, which is a
+  // no-op start when stems arrive sorted by non-increasing level.
+  const std::size_t level = c.level(stem);
+  work_[stem] = ~good[stem];
+  c.eval_suffix(std::min<std::size_t>(level, dirty_level_), work_.data(),
+                stem);
+  dirty_level_ = level;
+
+  // Points the sweep did not reach satisfy work == good, so their diff is
+  // 0 without any reached-set bookkeeping.
+  const std::uint64_t* work = work_.data();
+  const auto& points = c.observed_points();
   std::uint64_t detect = 0;
   for (std::size_t i = 0; i < points.size(); ++i) {
-    const std::uint64_t diff = work_[points[i]] ^ good[points[i]];
-    diffs[i] = diff;
+    std::uint64_t diff = work[points[i]] ^ good[points[i]];
+    if (point_masks != nullptr) diff &= (*point_masks)[i];
+    if (point_words != nullptr) point_words[i] = diff;
     detect |= diff;
   }
-  clear_source_site(fault.gate, good);
+
+  // A source stem (input or flip-flop) is never re-evaluated by a later
+  // sweep, so its injected value is cleared by hand; evaluable stems are
+  // overwritten once the next sweep reaches them.
+  const GateType t = c.type(stem);
+  if (t == GateType::kInput || t == GateType::kDff) work_[stem] = good[stem];
   return detect;
 }
 
-namespace {
-
-/// Full faulty-machine simulation of one block (every gate re-evaluated).
-/// Independent of the event-driven path on purpose: it is the oracle the
-/// fast engines are validated against, so it deliberately walks the plain
-/// Circuit container rather than the compiled view.
 std::vector<std::uint64_t> simulate_faulty_block_full(
     const Circuit& circuit, const Fault& fault,
     const std::vector<std::uint64_t>& input_words) {
@@ -404,6 +227,8 @@ std::vector<std::uint64_t> simulate_faulty_block_full(
   }
   return values;
 }
+
+namespace {
 
 std::uint64_t observe_difference(const Circuit& circuit, const Fault& fault,
                                  const std::vector<std::uint64_t>& faulty,
@@ -509,8 +334,8 @@ FaultSimResult simulate_serial(const FaultList& faults,
 
   // Reference launch word for a transition fault: bit p = the fault line's
   // good value at pattern p-1, matched against the pre-transition value.
-  // Kept independent of fault_model::TwoPatternWindow on purpose — the
-  // serial engine is the oracle the fast engines' window bookkeeping is
+  // Kept independent of fault_model::launch_mask on purpose — the
+  // serial engine is the oracle the fast engines' launch bookkeeping is
   // cross-checked against.
   const auto launch_word = [&](const Fault& fault, std::size_t b) {
     const GateId line = fault_line(circuit, fault);
@@ -547,16 +372,6 @@ FaultSimResult simulate_serial(const FaultList& faults,
   return result;
 }
 
-namespace {
-
-/// Live-fault work list for the PPSFP engines: every class index in
-/// [class_begin, class_end), ordered by the rank of its FFR stem
-/// (CompiledCircuit::ffr_rank: stem level descending, then stem id), then
-/// by class index. Suffix resimulation sweeps [stem level, depth], so this
-/// order makes each sweep exactly overwrite what the previous one
-/// dirtied, and it makes every stem's live classes one contiguous group.
-/// Detect words are order-independent; only the sweep start depends on
-/// the order. A counting sort by rank, stable in class index.
 std::vector<std::uint32_t> sorted_live_list(const FaultList& faults,
                                             const CompiledCircuit& compiled,
                                             std::size_t class_begin,
@@ -574,12 +389,6 @@ std::vector<std::uint32_t> sorted_live_list(const FaultList& faults,
   return live;
 }
 
-/// Stem-region grading of live[0, count) — whole stem groups, in
-/// sorted_live_list order — into detects[0, count). A stem's observation
-/// word is swept at most once, and only when some class of its group has
-/// a nonzero local & block-mask (& launch) word. For a transition
-/// universe `previous` is the block before `good` (nullptr for the
-/// program's first block).
 void grade_stem_groups(Propagator& propagator, const FaultList& faults,
                        const std::uint32_t* live, std::size_t count,
                        std::span<const std::uint64_t> good,
@@ -621,149 +430,73 @@ void grade_stem_groups(Propagator& propagator, const FaultList& faults,
   }
 }
 
-/// Blocks whose good machine is held at once. The pass grades the program
-/// in windows of this many blocks (4096 patterns), so the good-value
-/// buffer stays bounded however long the program is; the lanes join once
-/// per window, never once per block.
-constexpr std::size_t kWindowBlocks = 64;
-
-/// The good machine of one window of blocks, shared read-only by the
-/// lanes. Each block is simulated once, by the first lane that needs it,
-/// so blocks that no live chunk reaches are never simulated, and is
-/// published through an atomic frontier: once a block exists, a lane
-/// pays one acquire load for it. Every block keeps its ParallelSimulator
-/// epoch word, so Propagator::check_sync stays armed. The blocks share
-/// one allocation, made on the calling thread: memory the lanes allocated
-/// would come from their own malloc arenas, and a run of block-sized
-/// allocations would be returned to the system and faulted in again on
-/// every call.
-class GoodWindow {
- public:
-  GoodWindow(const std::shared_ptr<const CompiledCircuit>& compiled,
-             const sim::PatternSet& patterns, const StrobeSchedule* schedule)
-      : patterns_(patterns),
-        sim_(compiled),
-        masks_(compiled->source(), schedule),
-        strobed_(schedule != nullptr && !schedule->is_full()),
-        stride_(sim_.values().size()),
-        good_(std::make_unique_for_overwrite<std::uint64_t[]>(
-            (std::min(patterns.block_count(), kWindowBlocks) + 1) *
-            stride_)) {}
-
-  /// Move on to blocks [first, last), at most kWindowBlocks of them. Not
-  /// thread-safe: call between lane runs. The previous window's last
-  /// block stays readable as the predecessor of `first`.
-  void reset(std::size_t first, std::size_t last) {
-    if (first != 0) {
-      std::copy_n(good_.get() + (first - first_) * stride_, stride_,
-                  good_.get());
-    }
-    if (strobed_) {
-      strobes_.resize(last - first);
-      for (std::vector<std::uint64_t>& masks : strobes_) {
-        masks.reserve(sim_.compiled()->observed_points().size());
-      }
-    }
-    first_ = first;
-    ready_.store(first, std::memory_order_relaxed);
-  }
-
-  /// Good values of block b of the window, simulated first if no lane
-  /// has needed it yet.
-  std::span<const std::uint64_t> block(std::size_t b) {
-    if (ready_.load(std::memory_order_acquire) <= b) {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      for (std::size_t next = ready_.load(std::memory_order_relaxed);
-           next <= b; ++next) {
-        sim_.simulate_block(patterns_.block_words(next));
-        std::copy_n(sim_.values().data(), stride_, slot(next));
-        if (strobed_) strobes_[next - first_] = *masks_.for_block(next);
-        ready_.store(next + 1, std::memory_order_release);
-      }
-    }
-    return {slot(b), stride_};
-  }
-
-  /// Block b - 1's good values (nullptr for the program's first block),
-  /// for transition launch masks. Valid once block(b) returned.
-  [[nodiscard]] const std::uint64_t* previous(std::size_t b) const {
-    return b == 0 ? nullptr : slot(b - 1);
-  }
-
-  /// Block b's strobe lane masks, nullptr under full observation. Valid
-  /// once block(b) returned.
-  [[nodiscard]] const std::vector<std::uint64_t>* strobes(
-      std::size_t b) const {
-    return strobed_ ? &strobes_[b - first_] : nullptr;
-  }
-
- private:
-  /// Slot 0 holds the block before the window, slot k + 1 its block k.
-  [[nodiscard]] std::uint64_t* slot(std::size_t b) const {
-    return good_.get() + (b + 1 - first_) * stride_;
-  }
-
-  const sim::PatternSet& patterns_;
-  std::mutex mutex_;
-  sim::ParallelSimulator sim_;
-  ScheduleMasks masks_;
-  bool strobed_;
-  std::size_t stride_;
-  std::unique_ptr<std::uint64_t[]> good_;
-  std::size_t first_ = 0;
-  /// Blocks [first_, ready_) are simulated and published.
-  std::atomic<std::size_t> ready_{0};
-  std::vector<std::vector<std::uint64_t>> strobes_;
-};
-
-/// A chunk closes at the first stem-group boundary at or past this many
-/// classes: small enough to balance the lanes, large enough to amortize a
-/// chunk's begin_block per block.
-constexpr std::size_t kChunkClasses = 64;
-
-/// A run of whole stem groups in the live list, graded by one lane at a
-/// time. Its live classes are live[begin, begin + live): fault dropping
-/// compacts them in place, keeping their order.
-struct Chunk {
-  std::size_t begin = 0;
-  std::size_t live = 0;
-};
-
-/// Run lane(0, stop) on the calling thread and lane(1..lanes-1, stop) on
-/// worker threads that adopt its deadline and cancel scopes. Returns once
-/// every worker has joined and rethrows the first exception a lane threw;
-/// `stop` is raised on an exception, so the other lanes end after their
-/// current chunk. One lane starts no thread.
-template <typename Lane>
-void run_lanes(std::size_t lanes, const Lane& lane) {
-  std::mutex mutex;
-  std::exception_ptr first_error;
-  std::atomic<bool> stop{false};
-  const auto guarded = [&](std::size_t index) {
-    try {
-      lane(index, stop);
-    } catch (...) {
-      stop.store(true, std::memory_order_relaxed);
-      const std::lock_guard<std::mutex> lock(mutex);
-      if (first_error == nullptr) first_error = std::current_exception();
-    }
+std::vector<Chunk> stem_group_chunks(const FaultList& faults,
+                                     const CompiledCircuit& compiled,
+                                     const std::vector<std::uint32_t>& live) {
+  constexpr std::size_t kChunkClasses = 64;
+  const auto rank = [&](std::size_t i) {
+    return compiled.ffr_rank(faults.representatives()[live[i]].gate);
   };
-  {
-    const util::detail::DeadlineFrame* scopes = util::current_scopes();
-    std::vector<std::jthread> workers;
-    workers.reserve(lanes - 1);
-    for (std::size_t index = 1; index < lanes; ++index) {
-      workers.emplace_back([&guarded, scopes, index] {
-        const util::AdoptScopes adopt(scopes);
-        guarded(index);
-      });
+  std::vector<Chunk> chunks;
+  for (std::size_t i = 0; i < live.size(); ++i) {
+    if (chunks.empty() || (i - chunks.back().begin >= kChunkClasses &&
+                           rank(i) != rank(i - 1))) {
+      if (!chunks.empty()) chunks.back().live = i - chunks.back().begin;
+      chunks.push_back(Chunk{i, 0});
     }
-    guarded(0);
-  }  // the jthreads join here
-  if (first_error != nullptr) std::rethrow_exception(first_error);
+  }
+  if (!chunks.empty()) chunks.back().live = live.size() - chunks.back().begin;
+  return chunks;
 }
 
-}  // namespace
+GoodWindow::GoodWindow(const std::shared_ptr<const CompiledCircuit>& compiled,
+                       const sim::PatternSet& patterns,
+                       const StrobeSchedule* schedule)
+    : patterns_(patterns),
+      sim_(compiled),
+      schedule_(schedule != nullptr && !schedule->is_full() ? schedule
+                                                            : nullptr),
+      stride_(sim_.values().size()),
+      good_(std::make_unique_for_overwrite<std::uint64_t[]>(
+          (std::min(patterns.block_count(), kWindowBlocks) + 1) * stride_)) {
+  LSIQ_EXPECT(schedule == nullptr || schedule->point_count() ==
+                                         compiled->observed_points().size(),
+              "strobe schedule must cover every observed point");
+}
+
+void GoodWindow::reset(std::size_t first, std::size_t last) {
+  if (first != 0) {
+    std::copy_n(good_.get() + (first - first_) * stride_, stride_,
+                good_.get());
+  }
+  if (schedule_ != nullptr) {
+    strobes_.resize(last - first);
+    for (std::vector<std::uint64_t>& masks : strobes_) {
+      masks.resize(schedule_->point_count());
+    }
+  }
+  first_ = first;
+  ready_.store(first, std::memory_order_relaxed);
+}
+
+std::span<const std::uint64_t> GoodWindow::block(std::size_t b) {
+  if (ready_.load(std::memory_order_acquire) <= b) {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    for (std::size_t next = ready_.load(std::memory_order_relaxed);
+         next <= b; ++next) {
+      sim_.simulate_block(patterns_.block_words(next));
+      std::copy_n(sim_.values().data(), stride_, slot(next));
+      if (schedule_ != nullptr) {
+        std::vector<std::uint64_t>& masks = strobes_[next - first_];
+        for (std::size_t i = 0; i < masks.size(); ++i) {
+          masks[i] = schedule_->lane_mask(i, next);
+        }
+      }
+      ready_.store(next + 1, std::memory_order_release);
+    }
+  }
+  return {slot(b), stride_};
+}
 
 std::shared_ptr<const CompiledCircuit> grading_view(
     const FaultList& faults, const sim::PatternSet& patterns,
@@ -800,19 +533,8 @@ std::size_t grade_class_range(
   // no stem is ever swept by two lanes in one block.
   std::vector<std::uint32_t> live =
       sorted_live_list(faults, *compiled, class_begin, class_end);
-  const auto rank = [&](std::size_t i) {
-    return compiled->ffr_rank(faults.representatives()[live[i]].gate);
-  };
-  std::vector<Chunk> chunks;
-  for (std::size_t i = 0; i < live.size(); ++i) {
-    if (chunks.empty() || (i - chunks.back().begin >= kChunkClasses &&
-                           rank(i) != rank(i - 1))) {
-      if (!chunks.empty()) chunks.back().live = i - chunks.back().begin;
-      chunks.push_back(Chunk{i, 0});
-    }
-  }
+  std::vector<Chunk> chunks = stem_group_chunks(faults, *compiled, live);
   if (chunks.empty()) return 0;
-  chunks.back().live = live.size() - chunks.back().begin;
   std::vector<std::uint64_t> detects(live.size(), 0);
 
   const std::size_t lanes =

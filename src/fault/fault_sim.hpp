@@ -41,13 +41,15 @@
 //     on evaluation order, so first_detection and the stem-sweep count
 //     are identical to simulate_ppsfp for every thread count.
 //
-// BIST signature grading and ATPG keep the per-fault Propagator kernels:
-// they need a fault's own detect or per-point difference words, not just
-// its first detection.
-//
 // All return, per collapsed fault class, the index of the first pattern
 // that detects it — the raw material for coverage curves (Section 5) and
 // for the virtual tester's first-failing-pattern experiment (Table 1).
+//
+// The stem-region kernel is the only way any caller computes a fault's
+// faulty-machine effect: ATPG confirmation, transition compaction and
+// BIST signature grading (which reads the stem's per-point words) grade
+// stem groups through the same Propagator entry points and building
+// blocks (fault/stem_grading.hpp) as the engines.
 #pragma once
 
 #include <cstdint>
@@ -60,7 +62,6 @@
 #include "fault/coverage.hpp"
 #include "fault/fault_list.hpp"
 #include "fault/strobe.hpp"
-#include "fault_model/transition.hpp"
 #include "sim/pattern.hpp"
 
 namespace lsiq::fault {
@@ -94,20 +95,15 @@ struct FaultSimResult {
   void finalize(const FaultList& faults);
 };
 
-/// Faulty-machine propagation over one 64-pattern block — the PPSFP inner
-/// loop, exposed as a reusable handle. Two families of entry points share
-/// one scratch:
+/// Faulty-machine propagation over one 64-pattern block: the
+/// stem-region kernel, exposed as a reusable handle. Per fanout-free
+/// region, local_word gives a fault's effect at its FFR stem (walked up
+/// the region without a sweep) and stem_observation the lanes in which
+/// inverting the stem is seen at an observed point (one suffix
+/// resimulation). A fault's detect word is local_word & stem_observation
+/// of its stem.
 ///
-///   * per fault: detect_word (event-driven wave), detect_word_resim /
-///     detect_word_transition / point_diff_words (levelized suffix
-///     resimulation from the fault site) — used by ATPG and BIST;
-///   * per fanout-free region: local_word (the fault's effect at its FFR
-///     stem, walked up the region without a sweep) and stem_observation
-///     (one suffix resimulation with the stem inverted) — what the
-///     grading engines use. local_word & stem_observation equals
-///     detect_word_resim for every fault a sweep would grade.
-///
-/// Construction allocates O(gate_count) scratch, reused across faults, so
+/// Construction allocates O(gate_count) scratch, reused across blocks, so
 /// one Propagator should be kept alive for a whole grading run.
 class Propagator {
  public:
@@ -117,91 +113,51 @@ class Propagator {
   explicit Propagator(
       std::shared_ptr<const circuit::CompiledCircuit> compiled);
 
-  /// Sync the propagation scratch to a freshly simulated good-machine
-  /// block. REQUIRED before the first detect_word / detect_word_resim of
-  /// every block. `good` is either node_count() words (a hand-built
-  /// buffer) or node_count()+1 words — a ParallelSimulator::values()
-  /// buffer whose trailing word is the block epoch stamped by
-  /// simulate_block. With the stamp present, every detect call verifies
-  /// the buffer has not been re-simulated since this sync and fails
-  /// loudly (assert + LSIQ_EXPECT) on the classic forgotten-begin_block
-  /// bug; without it the caller is on their own.
+  /// Sync the propagator to a freshly simulated good-machine block.
+  /// REQUIRED before the first local_word / stem_observation of every
+  /// block. `good` is either node_count() words (a hand-built buffer) or
+  /// node_count()+1 words — a ParallelSimulator::values() buffer whose
+  /// trailing word is the block epoch stamped by simulate_block. With the
+  /// stamp present, every kernel call verifies the buffer has not been
+  /// re-simulated since this sync and fails loudly (assert +
+  /// LSIQ_EXPECT) on the classic forgotten-begin_block bug; without it
+  /// the caller is on their own. The scratch copy of the block is made
+  /// by its first stem_observation, not here.
   void begin_block(std::span<const std::uint64_t> good);
-
-  /// Detection word for one fault (bit p = pattern p of the block detects
-  /// it). `good` holds the good-machine words of every gate for this block
-  /// (a completed ParallelSimulator::simulate_block over the same
-  /// circuit) and must be the buffer last passed to begin_block.
-  /// `point_masks`, when non-null, gives per observed point the lanes in
-  /// which the tester strobes it this block; null means full
-  /// observability. Event-driven: cost scales with the fault's cone, the
-  /// right kernel when effects die near the site.
-  std::uint64_t detect_word(const Fault& fault,
-                            std::span<const std::uint64_t> good,
-                            const std::vector<std::uint64_t>* point_masks =
-                                nullptr);
-
-  /// Same contract as detect_word, computed by levelized suffix
-  /// resimulation instead of an event-driven wave: every gate at
-  /// level >= the fault site's level is re-evaluated in one flat sweep.
-  /// ~4x less bookkeeping per touched gate, so it wins whenever fault
-  /// effects spread widely (the PPSFP block-grading regime); detect_word
-  /// wins when effects die near the site. Fastest when consecutive calls
-  /// are ordered by non-increasing site level — any order is correct, but
-  /// an out-of-order call pays an extra prefix sweep to clear stale state.
-  std::uint64_t detect_word_resim(const Fault& fault,
-                                  std::span<const std::uint64_t> good,
-                                  const std::vector<std::uint64_t>*
-                                      point_masks = nullptr);
-
-  /// Two-pattern transition kernel: the detect word of the matching
-  /// capture stuck-at fault (suffix resimulation, same contract as
-  /// detect_word_resim) gated by the launch word `window` derives from the
-  /// fault line's previous-pattern good values. `fault` is a transition
-  /// fault in the fault_model encoding (stuck_at_one == slow-to-fall);
-  /// `window` must be tracking the same block sequence as begin_block —
-  /// advance() it only after every fault of the block is graded. A fault
-  /// with no launched lane skips capture simulation entirely.
-  std::uint64_t detect_word_transition(
-      const Fault& fault, std::span<const std::uint64_t> good,
-      const fault_model::TwoPatternWindow& window,
-      const std::vector<std::uint64_t>* point_masks = nullptr);
-
-  /// Per-point difference words for one fault over the current block:
-  /// resizes `diffs` to observed_points().size() and sets bit p of
-  /// diffs[i] when pattern p of the block makes point i differ from the
-  /// good machine; returns the OR over points (exactly detect_word's
-  /// result with full observability). Signature compaction (bist::) needs
-  /// the per-point structure the OR throws away — two errors reaching one
-  /// MISR stage in the same cycle cancel. Suffix-resimulation kernel;
-  /// same begin_block and call-ordering contract as detect_word_resim.
-  std::uint64_t point_diff_words(const Fault& fault,
-                                 std::span<const std::uint64_t> good,
-                                 std::vector<std::uint64_t>& diffs);
 
   /// Stem-region kernel, first half: the fault's effect at its FFR stem
   /// (CompiledCircuit::ffr_stem) — bit p set when pattern p of the block
-  /// flips the stem. The site word is walked up the region's single-reader
-  /// chain with no sweep, stopping early once it equals the good value.
-  /// A DFF D-pin branch fault bypasses logic: `*captured` is set and the
-  /// returned word is already its final detect word (point masks applied),
-  /// exactly as detect_word_resim resolves it. Same begin_block contract
-  /// as detect_word.
+  /// flips the stem. `good` holds the good-machine words of every gate
+  /// for this block and must be the buffer last passed to begin_block.
+  /// The site word is walked up the region's single-reader chain with no
+  /// sweep, stopping early once it equals the good value. A DFF D-pin
+  /// branch fault bypasses logic: `*captured` is set and the returned
+  /// word is already its final detect word (lanes in which its
+  /// flip-flop's scan-capture point differs, under `point_masks`).
   std::uint64_t local_word(const Fault& fault,
                            std::span<const std::uint64_t> good,
                            const std::vector<std::uint64_t>* point_masks,
                            bool* captured);
 
   /// Stem-region kernel, second half: the lanes in which inverting `stem`
-  /// is seen at an observed point (under `point_masks`, null = full
-  /// observability). One suffix resimulation from the stem's level, with
-  /// the same dirty-level bookkeeping and call-ordering advice as
-  /// detect_word_resim. A fault's detect word is local_word &
-  /// stem_observation of its stem. Counted in stem_sweeps().
+  /// is seen at an observed point, under `point_masks` (per observed
+  /// point, the lanes the tester strobes it this block; null = full
+  /// observability). One levelized suffix resimulation from the stem's
+  /// level; fastest when consecutive calls of a block are ordered by
+  /// non-increasing stem level (sorted_live_list order) — any order is
+  /// correct, but an out-of-order call re-sweeps what the previous one
+  /// left dirty. When `point_words` is non-null it receives one word per
+  /// observed point: bit p of point_words[i] is set when inverting the
+  /// stem flips point i in pattern p (masked like the result, whose OR
+  /// they are). Signature compaction (bist::) needs that per-point
+  /// structure: two errors reaching one MISR stage in the same cycle
+  /// cancel. Same begin_block contract as local_word. Counted in
+  /// stem_sweeps().
   std::uint64_t stem_observation(circuit::GateId stem,
                                  std::span<const std::uint64_t> good,
                                  const std::vector<std::uint64_t>*
-                                     point_masks = nullptr);
+                                     point_masks = nullptr,
+                                 std::uint64_t* point_words = nullptr);
 
   /// stem_observation calls made through this Propagator.
   [[nodiscard]] std::size_t stem_sweeps() const noexcept {
@@ -214,45 +170,28 @@ class Propagator {
   }
 
  private:
-  /// Shared prologue of both kernels: DFF D-pin captures and faults whose
-  /// effect never appears at the site resolve to a final detect word
-  /// (returns true, sets `result`); otherwise sets `faulty_site` to the
-  /// word to inject and returns false.
+  /// Prologue of local_word: DFF D-pin captures and faults whose effect
+  /// never appears at the site resolve to a final detect word (returns
+  /// true, sets `result`); otherwise sets `faulty_site` to the site's
+  /// faulty word and returns false.
   bool resolve_site(const Fault& fault, const std::uint64_t* good,
                     const std::vector<std::uint64_t>* point_masks,
                     std::uint64_t* result, std::uint64_t* faulty_site) const;
-  void schedule_fanout(circuit::GateId id);
-  void sweep_clean(const std::uint64_t* good);
-  /// Suffix resimulation core: inject `value` at `site`, re-evaluate every
-  /// gate from min(site level, dirty level) up, and mark the site level
-  /// dirty. Observe, then clear_source_site, before the next injection.
-  void resimulate(circuit::GateId site, std::uint64_t value);
-  void clear_source_site(circuit::GateId site, const std::uint64_t* good);
-  /// OR over observed points of (work ^ good), masked per point when
-  /// `point_masks` is non-null.
-  [[nodiscard]] std::uint64_t observe(
-      const std::uint64_t* good,
-      const std::vector<std::uint64_t>* point_masks) const;
-  /// Stale-sync guard run by every detect entry point: `good` must be the
+  /// Stale-sync guard run by both kernel halves: `good` must be the
   /// buffer last passed to begin_block, un-resimulated since (verified via
   /// the trailing epoch stamp when the buffer carries one).
   void check_sync(std::span<const std::uint64_t> good,
                   const char* who) const;
 
   std::shared_ptr<const circuit::CompiledCircuit> compiled_;
-  std::vector<char> queued_;
-  std::vector<std::vector<circuit::GateId>> buckets_;
-  std::vector<circuit::GateId> touched_;
-  std::size_t max_level_ = 0;
-  /// Shared scratch of every kernel: the good-machine view of the current
-  /// block. detect_word writes its wave here and restores it via touched_
-  /// before returning; the suffix sweeps (resimulate) leave their machine
-  /// in place at levels >= dirty_level_ and let the next sweep overwrite
-  /// it.
+  /// The current block's good machine, overwritten by each suffix sweep
+  /// at levels >= dirty_level_ (the next sweep overwrites it again).
+  /// Copied from the block by its first sweep (work_copied_).
   std::vector<std::uint64_t> work_;
   std::size_t dirty_level_ = 0;
   std::size_t stem_sweeps_ = 0;
   bool block_synced_ = false;
+  bool work_copied_ = false;
   /// Block epoch of the stamped buffer last seen by begin_block;
   /// 0 when that buffer carried no stamp (epochs start at 1).
   std::uint64_t stamp_ = 0;
@@ -265,6 +204,17 @@ class Propagator {
 FaultSimResult simulate_serial(const FaultList& faults,
                                const sim::PatternSet& patterns,
                                const StrobeSchedule* schedule = nullptr);
+
+/// The reference engine's faulty machine over one block: every gate of
+/// the plain Circuit re-evaluated, in topological order, with `fault`
+/// injected; `input_words` holds one word per pattern input. Returns every
+/// gate's faulty word. A DFF D-pin branch fault leaves the logic
+/// untouched — its effect is the stuck value seen by that flip-flop's
+/// scan capture. It shares no code with the compiled view or the
+/// Propagator, which is why tests build their oracles on it.
+std::vector<std::uint64_t> simulate_faulty_block_full(
+    const circuit::Circuit& circuit, const Fault& fault,
+    const std::vector<std::uint64_t>& input_words);
 
 /// Production engine: PPSFP with fault dropping on the compiled netlist.
 /// `compiled`, when non-null, must be a compiled view of faults.circuit()

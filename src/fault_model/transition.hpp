@@ -21,15 +21,13 @@
 // i-1 launches what pattern i captures, for every i >= 1 (LFSR programs,
 // explicit sets and pattern files need no repetition or reordering). The
 // program's very first pattern has no launch predecessor and can never
-// detect a transition fault; TwoPatternWindow masks that lane out. The
-// word boundary — pattern 64b capturing what pattern 64b-1 launched — is
-// handled by carrying each gate's lane-63 good value into the next
-// block's lane 0.
+// detect a transition fault; launch_mask masks that lane out. The word
+// boundary — pattern 64b capturing what pattern 64b-1 launched — is
+// handled by carrying each gate's lane-63 good value from the previous
+// block into lane 0.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
-#include <vector>
 
 #include "circuit/netlist.hpp"
 
@@ -50,34 +48,5 @@ namespace lsiq::fault_model {
   const std::uint64_t before = (good[line] << 1) | (previous[line] >> 63);
   return slow_to_fall ? before : ~before;
 }
-
-/// Rolling launch-value state for two-pattern grading over a streamed
-/// block sequence: it keeps the previous block's good values. One
-/// instance accompanies a grading run: the engine asks for launch masks
-/// while a block's good values are live, then advance()s past the block.
-/// Blocks must be visited in program order exactly once.
-class TwoPatternWindow {
- public:
-  explicit TwoPatternWindow(std::size_t node_count)
-      : previous_(node_count, 0) {}
-
-  /// fault_model::launch_mask for the current block.
-  [[nodiscard]] std::uint64_t launch_mask(circuit::GateId line,
-                                          bool slow_to_fall,
-                                          const std::uint64_t* good) const {
-    return fault_model::launch_mask(line, slow_to_fall, good,
-                                    started_ ? previous_.data() : nullptr);
-  }
-
-  /// Record the current block before moving to the next.
-  void advance(const std::vector<std::uint64_t>& good) {
-    std::copy_n(good.begin(), previous_.size(), previous_.begin());
-    started_ = true;
-  }
-
- private:
-  std::vector<std::uint64_t> previous_;
-  bool started_ = false;
-};
 
 }  // namespace lsiq::fault_model

@@ -4,10 +4,12 @@
 #include <bit>
 #include <memory>
 #include <optional>
+#include <span>
+#include <vector>
 
 #include "analyze/implication.hpp"
 #include "circuit/compiled.hpp"
-#include "fault_model/transition.hpp"
+#include "fault/stem_grading.hpp"
 #include "sim/parallel_sim.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -60,6 +62,35 @@ std::shared_ptr<const circuit::CompiledCircuit> view_of(
   return compiled;
 }
 
+/// Confirmation of one generated pattern (or pair) against the classes
+/// still pending: every class at or after `target` in class order that no
+/// earlier pattern detected. `pending` holds them in stem-rank order
+/// (fault::sorted_live_list) and is compacted in place as classes drop
+/// out. The block's good machine is graded through the stem-region
+/// kernel, one sweep per stem, and every class detected in a lane of
+/// `lane_mask` is marked in `detected`. For a transition universe the
+/// block is standalone: lane 0 has no predecessor, so only a capture in
+/// lane >= 1 can detect.
+void confirm_block(fault::Propagator& propagator, const FaultList& faults,
+                   std::span<const std::uint64_t> good,
+                   std::uint64_t lane_mask, std::size_t target,
+                   std::vector<std::uint32_t>& pending,
+                   std::vector<std::uint64_t>& detects,
+                   std::vector<char>& detected) {
+  std::erase_if(pending, [&](std::uint32_t cls) {
+    return cls < target || detected[cls] != 0;
+  });
+  detects.resize(pending.size());
+  propagator.begin_block(good);
+  fault::grade_stem_groups(
+      propagator, faults, pending.data(), pending.size(), good, lane_mask,
+      nullptr, faults.model() == fault_model::FaultModel::kTransition,
+      nullptr, detects.data());
+  for (std::size_t i = 0; i < pending.size(); ++i) {
+    if (detects[i] != 0) detected[pending[i]] = 1;
+  }
+}
+
 /// The classic single-pattern recipe over a stuck-at universe. One
 /// compiled view serves the whole run: random-phase grading, the
 /// confirmation simulator and the implication engine all read it.
@@ -98,6 +129,9 @@ AtpgResult generate_stuck_at_tests(
   // ---- Phase 2: PODEM on the survivors, with fault dropping ----
   sim::ParallelSimulator good_sim(compiled);
   fault::Propagator propagator(compiled);
+  std::vector<std::uint32_t> pending =
+      fault::sorted_live_list(faults, *compiled, 0, faults.class_count());
+  std::vector<std::uint64_t> detects;
   // One implication engine for the whole run: the static learning pass is
   // per-circuit work, not per-fault work.
   PodemOptions podem_options = options.podem;
@@ -133,19 +167,10 @@ AtpgResult generate_stuck_at_tests(
       words[i] = podem.pattern[i] ? 1ULL : 0ULL;
     }
     good_sim.simulate_block(words);
-    propagator.begin_block(good_sim.values());
-    bool detected_target = false;
-    for (std::size_t c2 = c; c2 < faults.class_count(); ++c2) {
-      if (detected[c2] != 0) continue;
-      const std::uint64_t word = propagator.detect_word(
-          faults.representatives()[c2], good_sim.values());
-      if ((word & 1ULL) != 0) {
-        detected[c2] = 1;
-        if (c2 == c) detected_target = true;
-      }
-    }
+    confirm_block(propagator, faults, good_sim.values(), 1ULL, c, pending,
+                  detects, detected);
     // PODEM guarantees detection; a miss here would be an engine bug.
-    LSIQ_EXPECT(detected_target,
+    LSIQ_EXPECT(detected[c] != 0,
                 "generate_tests: PODEM pattern failed confirmation for " +
                     fault::fault_name(circuit, target));
     result.patterns.append(podem.pattern);
@@ -201,11 +226,9 @@ AtpgResult generate_transition_tests(
   // ---- Phase 2: two-pattern PODEM on the survivors, with dropping ----
   sim::ParallelSimulator good_sim(compiled);
   fault::Propagator propagator(compiled);
-  // Confirmation grades each emitted pair as a standalone 2-pattern
-  // block: the window is never advanced, so lane 0 (the launch, which
-  // has no predecessor) stays masked and only lane 1 — capture detection
-  // gated by the launch — counts.
-  const fault_model::TwoPatternWindow pair_window(compiled->node_count());
+  std::vector<std::uint32_t> pending =
+      fault::sorted_live_list(faults, *compiled, 0, faults.class_count());
+  std::vector<std::uint64_t> detects;
   // One implication engine for the whole run, shared by both halves of
   // every pair solve.
   PodemOptions podem_options = options.podem;
@@ -241,29 +264,22 @@ AtpgResult generate_transition_tests(
     }
 
     // Simulate the pair (launch in lane 0, capture in lane 1) against
-    // every remaining fault and drop all detections. Lanes >= 2 replicate
-    // an all-zero pattern, so only the capture lane is credited.
+    // every remaining fault and drop all detections. The pair is graded
+    // as a standalone block, so lane 0 (the launch, which has no
+    // predecessor) is masked; lanes >= 2 replicate an all-zero pattern,
+    // so only the capture lane is credited.
     std::vector<std::uint64_t> words(input_count);
     for (std::size_t i = 0; i < input_count; ++i) {
       words[i] = (test.launch[i] ? 1ULL : 0ULL) |
                  (test.capture[i] ? 2ULL : 0ULL);
     }
     good_sim.simulate_block(words);
-    propagator.begin_block(good_sim.values());
-    bool detected_target = false;
-    for (std::size_t c2 = c; c2 < faults.class_count(); ++c2) {
-      if (detected[c2] != 0) continue;
-      const std::uint64_t word = propagator.detect_word_transition(
-          faults.representatives()[c2], good_sim.values(), pair_window);
-      if ((word & 2ULL) != 0) {
-        detected[c2] = 1;
-        if (c2 == c) detected_target = true;
-      }
-    }
+    confirm_block(propagator, faults, good_sim.values(), 2ULL, c, pending,
+                  detects, detected);
     // The capture pattern detects the matching stuck-at by PODEM's
     // guarantee and the launch pattern justifies the launch value, so the
     // pair must confirm; a miss here would be an engine bug.
-    LSIQ_EXPECT(detected_target,
+    LSIQ_EXPECT(detected[c] != 0,
                 "generate_tests: transition pair failed confirmation for " +
                     fault::fault_name(circuit, target,
                                       fault_model::FaultModel::kTransition));
@@ -320,31 +336,36 @@ PatternSet compact_transition(
   // detections — updated as the forward grading pass walks the blocks —
   // carries everything the selection needs (no classes-by-blocks
   // detection matrix).
+  // Each block is graded through the stem-region kernel with the previous
+  // block's good values for the launch masks.
   sim::ParallelSimulator good_sim(compiled);
   fault::Propagator propagator(compiled);
-  fault_model::TwoPatternWindow window(compiled->node_count());
+  const std::vector<std::uint32_t> classes =
+      fault::sorted_live_list(faults, *compiled, 0, faults.class_count());
+  std::vector<std::uint64_t> detects(classes.size());
+  std::vector<std::uint64_t> previous;
   std::vector<std::int64_t> last_detection(faults.class_count(), -1);
   for (std::size_t b = 0; b < patterns.block_count(); ++b) {
     good_sim.simulate_block(patterns.block_words(b));
     const std::vector<std::uint64_t>& good = good_sim.values();
     propagator.begin_block(good);
-    const std::uint64_t mask = patterns.block_mask(b);
-    for (std::size_t c = 0; c < faults.class_count(); ++c) {
-      const std::uint64_t word =
-          propagator.detect_word_transition(faults.representatives()[c],
-                                            good, window) &
-          mask;
-      if (word != 0) {
-        last_detection[c] = static_cast<std::int64_t>(
+    fault::grade_stem_groups(propagator, faults, classes.data(),
+                             classes.size(), good, patterns.block_mask(b),
+                             nullptr, true,
+                             b == 0 ? nullptr : previous.data(),
+                             detects.data());
+    for (std::size_t i = 0; i < classes.size(); ++i) {
+      if (detects[i] != 0) {
+        last_detection[classes[i]] = static_cast<std::int64_t>(
             b * 64 + (63 - static_cast<std::size_t>(
-                               std::countl_zero(word))));
+                               std::countl_zero(detects[i]))));
       }
     }
-    window.advance(good);
+    previous = good;
   }
 
   // Keep both halves of each selected pair. A capture index is always
-  // >= 1: pattern 0 has no launch (the window masks lane 0 of block 0).
+  // >= 1: pattern 0 has no launch (its launch mask is empty).
   std::vector<char> keep(patterns.size(), 0);
   for (std::size_t c = 0; c < faults.class_count(); ++c) {
     if (last_detection[c] < 0) continue;

@@ -59,8 +59,7 @@ sim::PatternSet lfsr_patterns(std::size_t input_count, std::size_t count,
 /// flip `flips_per_step` randomly chosen input bits per pattern (a random
 /// walk over the input cube). Consecutive patterns are highly correlated —
 /// the access pattern of 1980s functional programs and of scan-adjacent
-/// functional test, and the regime where the event-driven simulator beats
-/// the compiled one.
+/// functional test, where few gates change from one pattern to the next.
 sim::PatternSet random_walk_patterns(std::size_t input_count,
                                      std::size_t count,
                                      std::size_t flips_per_step = 1,

@@ -407,7 +407,7 @@ TransitionTestResult generate_transition_test(const circuit::Circuit& circuit,
   // pre-transition value is the capture stuck value (slow-to-rise
   // launches at 0, slow-to-fall at 1); the launch condition lives on the
   // fault's line (the driving stem for a branch fault), matching
-  // TwoPatternWindow's gating.
+  // fault_model::launch_mask's gating.
   const circuit::GateId line = fault::fault_line(circuit, fault);
   const Tri launch_value = fault.stuck_at_one ? Tri::kOne : Tri::kZero;
 

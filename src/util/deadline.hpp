@@ -39,7 +39,10 @@ struct DeadlineFrame {
   const std::atomic<bool>* cancel = nullptr;
   const DeadlineFrame* outer;
 };
-extern thread_local const DeadlineFrame* tl_deadline;
+/// constinit: the variable is known to be constant-initialized, so every
+/// translation unit reads it directly instead of through a TLS wrapper
+/// function (UBSan misreads that wrapper's result as a null load).
+extern constinit thread_local const DeadlineFrame* tl_deadline;
 /// Checks every cancel flag on the scope stack (throws CancelledError),
 /// then reads the clock and throws DeadlineExceeded when the effective
 /// deadline passed.

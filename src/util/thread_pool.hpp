@@ -1,16 +1,16 @@
 // A persistent worker pool for data-parallel loops that fork-join many
 // times.
 //
-// BIST signature grading dispatches one job per block of patterns, and
-// the batch runner and flow service run their lanes on a pool; spawning
-// threads per job would dominate the work at small block counts, so the
-// pool keeps its workers alive across jobs and wakes them with a
-// generation counter. Jobs are "lane" shaped: run(fn) executes fn(lane)
-// once per worker, and the caller blocks until every lane has finished.
-// Partitioning work across lanes is the caller's business. The fault
-// grading pass (fault/fault_sim.hpp) does not use the pool: it has no
+// The batch runner and the flow service run their lanes on a pool, which
+// keeps its workers alive across jobs and wakes them with a generation
+// counter. Jobs are "lane" shaped: run(fn) executes fn(lane) once per
+// worker, and the caller blocks until every lane has finished.
+// Partitioning work across lanes is the caller's business. Stem-region
+// grading — the fault grading pass (fault/fault_sim.hpp) and BIST
+// signature grading (bist/session.hpp) — does not use the pool: it has no
 // per-block barrier to amortize, so it starts its worker threads once per
-// call and lets them claim chunks from an atomic cursor.
+// call (fault::run_lanes) and lets them claim chunks from an atomic
+// cursor.
 #pragma once
 
 #include <condition_variable>

@@ -6,15 +6,22 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
+#include <chrono>
 #include <cstdint>
+#include <filesystem>
+#include <system_error>
 #include <vector>
 
 #include "bist/misr.hpp"
 #include "circuit/generators.hpp"
 #include "fault/fault_list.hpp"
 #include "fault/fault_sim.hpp"
+#include "fault_model/fault_model.hpp"
+#include "reference_oracle.hpp"
 #include "sim/parallel_sim.hpp"
+#include "util/deadline.hpp"
 #include "util/error.hpp"
 
 namespace lsiq::bist {
@@ -24,10 +31,11 @@ using circuit::Circuit;
 using fault::FaultList;
 
 /// Independent reimplementation of signature grading: per-point error
-/// words isolated with the EVENT-DRIVEN kernel (detect_word under a
-/// one-point strobe mask — a different code path from the session's
-/// suffix-resimulation point_diff_words), folded through a Misr stepped
-/// pattern by pattern. Returns the faulty end-of-session signature.
+/// words from the reference engine's full faulty-block resimulation over
+/// the plain Circuit (a different code path from the session's
+/// stem-region kernel), gated by an independently derived launch word for
+/// a transition universe and folded through a Misr stepped pattern by
+/// pattern. Returns the faulty end-of-session signatures.
 struct OracleGrading {
   std::uint64_t good_signature = 0;
   std::vector<std::uint64_t> fault_signatures;
@@ -41,11 +49,11 @@ OracleGrading grade_by_hand(const FaultList& faults,
   const auto& points = c.observed_points();
   const std::size_t point_count = points.size();
   const std::size_t classes = faults.class_count();
-
-  sim::ParallelSimulator good_sim(c);
-  fault::Propagator propagator(c);
+  const bool transition =
+      faults.model() == fault_model::FaultModel::kTransition;
 
   // Good responses per block, retained so each class replays the session.
+  sim::ParallelSimulator good_sim(c);
   std::vector<std::vector<std::uint64_t>> good_blocks;
   for (std::size_t b = 0; b < patterns.block_count(); ++b) {
     good_sim.simulate_block(patterns.block_words(b));
@@ -74,20 +82,20 @@ OracleGrading grade_by_hand(const FaultList& faults,
   oracle.fault_signatures.assign(classes, 0);
   oracle.first_error.assign(classes, -1);
 
-  std::vector<std::uint64_t> one_point(point_count, 0);
   for (std::size_t cls = 0; cls < classes; ++cls) {
     const fault::Fault& f = faults.representatives()[cls];
     std::uint64_t delta = 0;
     for (std::size_t b = 0; b < patterns.block_count(); ++b) {
-      propagator.begin_block(good_blocks[b]);
-      // Isolate each point's error word with a single-point strobe mask.
-      std::vector<std::uint64_t> diffs(point_count, 0);
+      const std::uint64_t launch =
+          transition
+              ? fault::reference::launch_word(c, f, good_blocks, b)
+              : ~0ULL;
+      std::vector<std::uint64_t> diffs = fault::reference::point_diffs(
+          c, f, patterns.block_words(b), good_blocks[b]);
       std::uint64_t any = 0;
-      for (std::size_t i = 0; i < point_count; ++i) {
-        one_point.assign(point_count, 0);
-        one_point[i] = ~0ULL;
-        diffs[i] = propagator.detect_word(f, good_blocks[b], &one_point);
-        any |= diffs[i];
+      for (std::uint64_t& d : diffs) {
+        d &= launch;
+        any |= d;
       }
       const std::size_t valid = std::min<std::size_t>(
           64, patterns.size() - b * 64);
@@ -109,31 +117,44 @@ OracleGrading grade_by_hand(const FaultList& faults,
   return oracle;
 }
 
-TEST(BistSession, MatchesIndependentOracleOnCombinationalCircuit) {
-  const Circuit c = circuit::make_alu(2);
-  const FaultList faults = FaultList::full_universe(c);
-  BistConfig config;
-  config.pattern_count = 190;  // deliberately not a multiple of 64
-  config.lfsr_seed = 7;
-  config.misr_width = 8;       // narrow enough for real aliasing pressure
-  const BistSession session(faults, config);
-  const BistResult result = session.run();
-
-  const OracleGrading oracle =
-      grade_by_hand(faults, session.patterns(), Misr(config.misr_width));
+/// Every per-class output of `result` equals the oracle's.
+void expect_matches_oracle(const FaultList& faults,
+                           const BistResult& result,
+                           const OracleGrading& oracle) {
+  const Circuit& c = faults.circuit();
+  const fault_model::FaultModel model = faults.model();
   EXPECT_EQ(result.good_signature, oracle.good_signature);
   ASSERT_EQ(result.fault_signatures.size(), oracle.fault_signatures.size());
   for (std::size_t cls = 0; cls < oracle.fault_signatures.size(); ++cls) {
     EXPECT_EQ(result.fault_signatures[cls], oracle.fault_signatures[cls])
-        << fault_name(c, faults.representatives()[cls]);
+        << fault_name(c, faults.representatives()[cls], model);
     EXPECT_EQ(result.first_error_pattern[cls], oracle.first_error[cls])
-        << fault_name(c, faults.representatives()[cls]);
+        << fault_name(c, faults.representatives()[cls], model);
+  }
+}
+
+TEST(BistSession, MatchesIndependentOracleOnCombinationalCircuit) {
+  // Stuck-at and launch-gated transition error words, on one lane and on
+  // several, over a program whose last block is partial.
+  const Circuit c = circuit::make_alu(2);
+  for (const FaultList& faults : {FaultList::full_universe(c),
+                                  FaultList::transition_universe(c)}) {
+    BistConfig config;
+    config.pattern_count = 190;  // deliberately not a multiple of 64
+    config.lfsr_seed = 7;
+    config.misr_width = 8;       // narrow enough for real aliasing pressure
+    const BistSession session(faults, config);
+    const OracleGrading oracle =
+        grade_by_hand(faults, session.patterns(), Misr(config.misr_width));
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
+      expect_matches_oracle(faults, session.run(threads), oracle);
+    }
   }
 }
 
 TEST(BistSession, MatchesIndependentOracleOnSequentialCircuit) {
-  // Scan flip-flops: D-pin captures are pseudo primary outputs and take
-  // the resolve_site shortcut — the oracle must agree there too.
+  // Scan flip-flops: D-pin captures are pseudo primary outputs and
+  // bypass the stem sweep — the oracle must agree there too.
   const Circuit c = circuit::make_scan_accumulator(3);
   const FaultList faults = FaultList::full_universe(c);
   BistConfig config;
@@ -143,14 +164,9 @@ TEST(BistSession, MatchesIndependentOracleOnSequentialCircuit) {
   const BistSession session(faults, config);
   const BistResult result = session.run();
 
-  const OracleGrading oracle =
-      grade_by_hand(faults, session.patterns(), Misr(config.misr_width));
-  EXPECT_EQ(result.good_signature, oracle.good_signature);
-  for (std::size_t cls = 0; cls < oracle.fault_signatures.size(); ++cls) {
-    EXPECT_EQ(result.fault_signatures[cls], oracle.fault_signatures[cls])
-        << fault_name(c, faults.representatives()[cls]);
-    EXPECT_EQ(result.first_error_pattern[cls], oracle.first_error[cls]);
-  }
+  expect_matches_oracle(
+      faults, result,
+      grade_by_hand(faults, session.patterns(), Misr(config.misr_width)));
 }
 
 TEST(BistSession, RawDetectionMatchesPpsfpEngine) {
@@ -192,6 +208,49 @@ TEST(BistSession, BitDeterministicAcrossWorkerCounts) {
     EXPECT_DOUBLE_EQ(rn.signature_coverage, r1.signature_coverage)
         << threads;
   }
+}
+
+/// Threads of this process (0 where /proc is unavailable).
+std::size_t live_thread_count() {
+  std::error_code error;
+  std::size_t count = 0;
+  for (std::filesystem::directory_iterator it("/proc/self/task", error), end;
+       !error && it != end; it.increment(error)) {
+    ++count;
+  }
+  return count;
+}
+
+TEST(BistSession, DeadlineAndCancelFireMidSessionOnEveryLaneCount) {
+  // Every grading lane polls the caller's scopes, so an expired deadline
+  // or a set cancel flag ends the session with the structured error on
+  // any lane count, and run() returns only once every worker has joined.
+  const Circuit c = circuit::make_array_multiplier(8);
+  const FaultList faults = FaultList::full_universe(c);
+  BistConfig config;
+  config.pattern_count = 1024;
+  const BistSession session(faults, config);
+  // Graded once first: the count below is taken after the first worker
+  // ever started (a sanitizer runtime starts a thread of its own then).
+  const BistResult graded = session.run(4);
+  const std::size_t threads_before = live_thread_count();
+  for (const std::size_t lanes : {std::size_t{1}, std::size_t{2},
+                                  std::size_t{4}}) {
+    {
+      const util::DeadlineScope expired(std::chrono::milliseconds(0));
+      EXPECT_THROW((void)session.run(lanes), DeadlineExceeded)
+          << lanes << " lanes";
+    }
+    EXPECT_EQ(live_thread_count(), threads_before) << lanes << " lanes";
+    {
+      std::atomic<bool> flag{true};
+      const util::CancelScope cancel(flag);
+      EXPECT_THROW((void)session.run(lanes), CancelledError)
+          << lanes << " lanes";
+    }
+    EXPECT_EQ(live_thread_count(), threads_before) << lanes << " lanes";
+  }
+  EXPECT_EQ(graded.fault_signatures, session.run(1).fault_signatures);
 }
 
 TEST(BistSession, WideMisrDoesNotAlias) {

@@ -1,16 +1,16 @@
 // Randomized cross-engine equivalence harness.
 //
-// The engine matrix — serial / PPSFP / multi-threaded PPSFP crossed with
-// stuck-at / transition — promises one contract: bit-identical detection
-// for any engine and any thread count. The unit suites pin that on
-// hand-picked golden circuits; this harness hammers it with random
-// combinational netlists and random pattern programs, so a divergence in
-// any kernel (event wave vs suffix resimulation vs full serial
-// resimulation, launch-window carry at block boundaries, strided
-// multi-thread partitioning) surfaces as a first_detection mismatch long
+// The engine matrix — serial / PPSFP / multi-threaded PPSFP / sharded,
+// plus BIST signature grading, crossed with stuck-at / transition —
+// promises one contract: bit-identical detection for any engine and any
+// thread count. The unit suites pin that on hand-picked golden circuits;
+// this harness hammers it with random combinational netlists and random
+// pattern programs, so a divergence in any kernel (stem-region grading
+// vs full serial resimulation, launch carry at block boundaries, chunked
+// multi-lane partitioning) surfaces as a first_detection mismatch long
 // before it could corrupt a quality figure. The serial engine is the
 // oracle: its transition launch word is derived independently of
-// fault_model::TwoPatternWindow.
+// fault_model::launch_mask.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "bist/session.hpp"
 #include "circuit/bench_io.hpp"
 #include "circuit/compiled.hpp"
 #include "circuit/generators.hpp"
@@ -87,6 +88,20 @@ void expect_engines_agree(const FaultList& faults, const PatternSet& patterns,
         << "ppsfp_mt with " << threads << " threads diverges";
     EXPECT_EQ(serial.covered_faults, mt.covered_faults);
     EXPECT_EQ(serial.detected_classes, mt.detected_classes);
+  }
+  // BIST signature grading runs the same stem-region kernel on its own
+  // lanes with no fault dropping; under full observation its first error
+  // is the first detection.
+  if (schedule == nullptr) {
+    bist::BistConfig config;
+    config.misr_width = 8;
+    const bist::BistSession session(faults, patterns, config);
+    for (const std::size_t lanes : {std::size_t{1}, std::size_t{4},
+                                    std::size_t{13}}) {
+      EXPECT_EQ(serial.first_detection,
+                session.run(lanes).first_error_pattern)
+          << "BIST with " << lanes << " lanes diverges";
+    }
   }
   // The sharded engine must fold per-shard vectors back to the identical
   // result for any shard count (7 leaves some shards nearly empty on the

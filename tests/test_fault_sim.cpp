@@ -8,11 +8,14 @@
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <span>
 #include <system_error>
 
 #include "circuit/generators.hpp"
 #include "fault/shard.hpp"
+#include "fault/stem_grading.hpp"
 #include "fault_model/universe.hpp"
+#include "reference_oracle.hpp"
 #include "sim/parallel_sim.hpp"
 #include "tpg/lfsr.hpp"
 #include "util/deadline.hpp"
@@ -26,6 +29,22 @@ using circuit::Circuit;
 using circuit::GateId;
 using circuit::GateType;
 using sim::PatternSet;
+
+/// A fault's detect word through the stem-region kernel: local_word AND
+/// the observation word of its FFR stem (a DFF D-pin capture's local word
+/// is already final).
+std::uint64_t stem_detect_word(Propagator& propagator, const Fault& fault,
+                               std::span<const std::uint64_t> good,
+                               const std::vector<std::uint64_t>* point_masks =
+                                   nullptr) {
+  bool captured = false;
+  const std::uint64_t local =
+      propagator.local_word(fault, good, point_masks, &captured);
+  if (local == 0 || captured) return local;
+  return local & propagator.stem_observation(
+                     propagator.compiled()->ffr_stem(fault.gate), good,
+                     point_masks);
+}
 
 /// All 2^n input patterns for a small circuit.
 PatternSet exhaustive_patterns(const Circuit& c) {
@@ -241,8 +260,8 @@ TEST(FaultSim, DetectWordForFaultMatchesSingleLane) {
   Propagator propagator(good.compiled());
   propagator.begin_block(good.values());
   for (std::size_t cl = 0; cl < faults.class_count(); ++cl) {
-    const std::uint64_t word =
-        propagator.detect_word(faults.representatives()[cl], good.values());
+    const std::uint64_t word = stem_detect_word(
+        propagator, faults.representatives()[cl], good.values());
     EXPECT_EQ((word & 1ULL) != 0, oracle.first_detection[cl] == 0)
         << fault_name(c, faults.representatives()[cl]);
   }
@@ -345,7 +364,7 @@ TEST(FaultSimMt, StemSweepsIndependentOfLaneCount) {
   EXPECT_GT(single.stem_sweeps, 0u);
   EXPECT_LE(single.stem_sweeps, bound);
   // The point of stem-region grading: fewer sweeps over the whole program
-  // than the per-fault kernel would spend on its first block alone.
+  // than one sweep per class would cost on the first block alone.
   EXPECT_LT(single.stem_sweeps, faults.class_count());
   for (const std::size_t lanes : {std::size_t{1}, std::size_t{2},
                                   std::size_t{4}, std::size_t{13}}) {
@@ -456,9 +475,10 @@ TEST(FaultSimMt, StemSweepsEqualAcrossLaneCountsForBothModels) {
 
 TEST(FaultSimKernels, StemRegionWordsMatchResim) {
   // local_word & stem_observation of the fault's stem is exactly the
-  // per-fault suffix-resimulation detect word, under full and partial
-  // observation, for stuck-at and transition representatives alike (the
-  // launch gating is applied outside both kernels).
+  // detect word of the reference engine's full faulty-block
+  // resimulation, under full and partial observation, for stuck-at and
+  // transition representatives alike (the launch gating is applied
+  // outside both kernels).
   std::vector<Circuit> circuits;
   circuits.push_back(circuit::make_c17());
   circuits.push_back(circuit::make_alu(4));
@@ -471,9 +491,7 @@ TEST(FaultSimKernels, StemRegionWordsMatchResim) {
     for (const FaultList& faults : {FaultList::full_universe(c),
                                     FaultList::transition_universe(c)}) {
       sim::ParallelSimulator good(c);
-      Propagator resim(good.compiled());
       Propagator stems(good.compiled());
-      const circuit::CompiledCircuit& compiled = *good.compiled();
       for (std::size_t block = 0; block < 3; ++block) {
         std::vector<std::uint64_t> words(c.pattern_inputs().size());
         for (auto& w : words) w = rng.next_u64();
@@ -481,33 +499,33 @@ TEST(FaultSimKernels, StemRegionWordsMatchResim) {
         for (std::size_t i = 0; i < masks.size(); ++i) {
           masks[i] = schedule.lane_mask(i, block);
         }
-        resim.begin_block(good.values());
         stems.begin_block(good.values());
-        using Masks = const std::vector<std::uint64_t>*;
-        for (const Masks point_masks : {Masks{nullptr}, Masks{&masks}}) {
-          for (const Fault& fault : faults.representatives()) {
-            bool captured = false;
-            std::uint64_t word =
-                stems.local_word(fault, good.values(), point_masks, &captured);
-            if (word != 0 && !captured) {
-              word &= stems.stem_observation(compiled.ffr_stem(fault.gate),
-                                             good.values(), point_masks);
-            }
-            EXPECT_EQ(word, resim.detect_word_resim(fault, good.values(),
-                                                    point_masks))
-                << c.name() << " " << fault_name(c, fault) << " block "
-                << block;
+        for (const Fault& fault : faults.representatives()) {
+          const std::vector<std::uint64_t> diffs =
+              reference::point_diffs(c, fault, words, good.values());
+          std::uint64_t full = 0;
+          std::uint64_t strobed = 0;
+          for (std::size_t i = 0; i < diffs.size(); ++i) {
+            full |= diffs[i];
+            strobed |= diffs[i] & masks[i];
           }
+          EXPECT_EQ(stem_detect_word(stems, fault, good.values()), full)
+              << c.name() << " " << fault_name(c, fault) << " block "
+              << block;
+          EXPECT_EQ(stem_detect_word(stems, fault, good.values(), &masks),
+                    strobed)
+              << c.name() << " strobed " << fault_name(c, fault)
+              << " block " << block;
         }
       }
     }
   }
 }
 
-TEST(FaultSimKernels, WaveAndResimDetectWordsAgree) {
-  // The Propagator's two kernels — event-driven wave and levelized suffix
-  // resimulation — must compute identical detect words for every fault,
-  // in any call order.
+TEST(FaultSimKernels, DetectWordsIndependentOfCallOrder) {
+  // The suffix sweeps share one scratch whose dirty region the next sweep
+  // must overwrite: stems visited in rank order, in reverse, and
+  // alternating between the two must all give the reference words.
   std::vector<Circuit> circuits;
   circuits.push_back(circuit::make_c17());
   circuits.push_back(circuit::make_alu(4));
@@ -516,30 +534,32 @@ TEST(FaultSimKernels, WaveAndResimDetectWordsAgree) {
   for (const Circuit& c : circuits) {
     const FaultList faults = FaultList::full_universe(c);
     sim::ParallelSimulator good(c);
-    Propagator wave(good.compiled());
-    Propagator resim(good.compiled());
+    const std::vector<std::uint32_t> ranked = sorted_live_list(
+        faults, *good.compiled(), 0, faults.class_count());
+    Propagator in_order(good.compiled());
+    Propagator reversed(good.compiled());
     Propagator interleaved(good.compiled());
     for (int block = 0; block < 2; ++block) {
       std::vector<std::uint64_t> words(c.pattern_inputs().size());
       for (auto& w : words) w = rng.next_u64();
       good.simulate_block(words);
-      wave.begin_block(good.values());
-      resim.begin_block(good.values());
+      in_order.begin_block(good.values());
+      reversed.begin_block(good.values());
       interleaved.begin_block(good.values());
-      for (std::size_t cl = 0; cl < faults.class_count(); ++cl) {
-        const Fault& fault = faults.representatives()[cl];
-        const std::uint64_t from_wave = wave.detect_word(fault, good.values());
-        const std::uint64_t from_resim =
-            resim.detect_word_resim(fault, good.values());
-        EXPECT_EQ(from_wave, from_resim)
-            << c.name() << " " << fault_name(c, fault);
-        // Alternating kernels on one propagator exercises the shared
-        // scratch's dirty-region handling.
-        const std::uint64_t mixed =
-            cl % 2 == 0 ? interleaved.detect_word(fault, good.values())
-                        : interleaved.detect_word_resim(fault, good.values());
-        EXPECT_EQ(mixed, from_wave)
-            << c.name() << " interleaved " << fault_name(c, fault);
+      const std::size_t n = ranked.size();
+      for (std::size_t k = 0; k < n; ++k) {
+        const Fault& first = faults.representatives()[ranked[k]];
+        const Fault& last = faults.representatives()[ranked[n - 1 - k]];
+        EXPECT_EQ(stem_detect_word(in_order, first, good.values()),
+                  reference::detect_word(c, first, words, good.values()))
+            << c.name() << " " << fault_name(c, first);
+        EXPECT_EQ(stem_detect_word(reversed, last, good.values()),
+                  reference::detect_word(c, last, words, good.values()))
+            << c.name() << " reversed " << fault_name(c, last);
+        const Fault& mixed = k % 2 == 0 ? first : last;
+        EXPECT_EQ(stem_detect_word(interleaved, mixed, good.values()),
+                  reference::detect_word(c, mixed, words, good.values()))
+            << c.name() << " interleaved " << fault_name(c, mixed);
       }
     }
   }
@@ -552,12 +572,6 @@ TEST(FaultSimKernels, DetectWordRequiresBlockSync) {
   std::vector<std::uint64_t> words(c.pattern_inputs().size(), 1);
   good.simulate_block(words);
   Propagator propagator(good.compiled());
-  EXPECT_THROW(propagator.detect_word(faults.representatives()[0],
-                                      good.values()),
-               ContractViolation);
-  EXPECT_THROW(propagator.detect_word_resim(faults.representatives()[0],
-                                            good.values()),
-               ContractViolation);
   bool captured = false;
   EXPECT_THROW(propagator.local_word(faults.representatives()[0],
                                      good.values(), nullptr, &captured),
@@ -565,15 +579,15 @@ TEST(FaultSimKernels, DetectWordRequiresBlockSync) {
   EXPECT_THROW(propagator.stem_observation(0, good.values()),
                ContractViolation);
   propagator.begin_block(good.values());
-  EXPECT_NO_THROW(propagator.detect_word(faults.representatives()[0],
-                                         good.values()));
+  EXPECT_NO_THROW(stem_detect_word(propagator, faults.representatives()[0],
+                                   good.values()));
 }
 
 TEST(FaultSimKernels, DetectWordRejectsStaleBlockSync) {
   // The stale-sync hazard: begin_block captures the good values, the
   // caller re-simulates the shared buffer for the NEXT block, then calls
-  // detect with the new values while the propagator still holds the old
-  // ones. Every lane of the detect word would be computed against the
+  // a kernel with the new values while the propagator still holds the
+  // old ones. Every lane of the detect word would be computed against the
   // wrong good machine. The block-epoch stamp turns that silent
   // corruption into a loud contract failure.
   const Circuit c = circuit::make_c17();
@@ -587,26 +601,24 @@ TEST(FaultSimKernels, DetectWordRejectsStaleBlockSync) {
   // Re-simulate the same buffer: a new block, a new epoch stamp.
   words.assign(words.size(), ~0ULL);
   good.simulate_block(words);
+  bool captured = false;
 #ifdef NDEBUG
-  EXPECT_THROW(propagator.detect_word(faults.representatives()[0],
-                                      good.values()),
-               ContractViolation);
-  EXPECT_THROW(propagator.detect_word_resim(faults.representatives()[0],
-                                            good.values()),
+  EXPECT_THROW(propagator.local_word(faults.representatives()[0],
+                                     good.values(), nullptr, &captured),
                ContractViolation);
   EXPECT_THROW(propagator.stem_observation(0, good.values()),
                ContractViolation);
 #else
   // With asserts live the stale sync trips the debug assert first.
-  EXPECT_DEATH(propagator.detect_word(faults.representatives()[0],
-                                      good.values()),
+  EXPECT_DEATH(propagator.local_word(faults.representatives()[0],
+                                     good.values(), nullptr, &captured),
                "stale begin_block sync");
 #endif
 
   // Re-syncing on the new block recovers.
   propagator.begin_block(good.values());
-  EXPECT_NO_THROW(propagator.detect_word(faults.representatives()[0],
-                                         good.values()));
+  EXPECT_NO_THROW(stem_detect_word(propagator, faults.representatives()[0],
+                                   good.values()));
 
   // A hand-built n-word buffer carries no stamp and opts out of the
   // check (legacy callers that never touch ParallelSimulator::values()).
@@ -614,7 +626,7 @@ TEST(FaultSimKernels, DetectWordRejectsStaleBlockSync) {
   Propagator unstamped(good.compiled());
   unstamped.begin_block(bare);
   EXPECT_NO_THROW(
-      unstamped.detect_word(faults.representatives()[0], bare));
+      stem_detect_word(unstamped, faults.representatives()[0], bare));
 }
 
 TEST(FaultSim, WeightedCoverageUsesClassSizes) {
@@ -637,43 +649,54 @@ TEST(FaultSim, WeightedCoverageUsesClassSizes) {
   EXPECT_DOUBLE_EQ(r.coverage, 0.5);
 }
 
-TEST(FaultSim, PointDiffWordsAgreeWithBothDetectKernels) {
-  // point_diff_words must (a) OR back to exactly the full-observation
-  // detect word and (b) match, per point, what the event-driven kernel
-  // reports under a single-point strobe mask.
+TEST(FaultSim, PointDiffWordsMatchFullResimulation) {
+  // A fault's per-point error words are its local word AND the stem's
+  // per-point observation words (a DFF D-pin capture errs at its own
+  // scan point only). They must (a) OR back to the returned observation
+  // word and (b) match, per point, the reference engine's full
+  // faulty-block resimulation.
   circuit::RandomDagSpec spec;
   spec.inputs = 12;
   spec.gates = 150;
   spec.seed = 77;
-  const Circuit c = make_random_dag(spec);
-  const FaultList faults = FaultList::full_universe(c);
-  const PatternSet patterns =
-      tpg::lfsr_patterns(c.pattern_inputs().size(), 128, 13);
-  const std::size_t point_count = c.observed_points().size();
+  std::vector<Circuit> circuits;
+  circuits.push_back(make_random_dag(spec));
+  circuits.push_back(circuit::make_scan_accumulator(4));
+  for (const Circuit& c : circuits) {
+    const FaultList faults = FaultList::full_universe(c);
+    const PatternSet patterns =
+        tpg::lfsr_patterns(c.pattern_inputs().size(), 128, 13);
+    const std::size_t point_count = c.observed_points().size();
 
-  sim::ParallelSimulator good_sim(c);
-  Propagator resim(c);
-  Propagator wave(c);
-  std::vector<std::uint64_t> diffs;
-  std::vector<std::uint64_t> one_point(point_count, 0);
-  for (std::size_t b = 0; b < patterns.block_count(); ++b) {
-    good_sim.simulate_block(patterns.block_words(b));
-    const std::vector<std::uint64_t>& good = good_sim.values();
-    resim.begin_block(good);
-    wave.begin_block(good);
-    for (const Fault& f : faults.representatives()) {
-      const std::uint64_t from_diffs = resim.point_diff_words(f, good, diffs);
-      ASSERT_EQ(diffs.size(), point_count);
-      std::uint64_t or_of_points = 0;
-      for (const std::uint64_t d : diffs) or_of_points |= d;
-      EXPECT_EQ(or_of_points, from_diffs);
-      EXPECT_EQ(from_diffs, wave.detect_word(f, good))
-          << fault_name(c, f) << " block " << b;
-      for (std::size_t i = 0; i < point_count; ++i) {
-        one_point.assign(point_count, 0);
-        one_point[i] = ~0ULL;
-        EXPECT_EQ(diffs[i], wave.detect_word(f, good, &one_point))
-            << fault_name(c, f) << " point " << i;
+    sim::ParallelSimulator good_sim(c);
+    Propagator propagator(c);
+    const circuit::CompiledCircuit& compiled = *propagator.compiled();
+    std::vector<std::uint64_t> stem_words(point_count);
+    std::vector<std::uint64_t> diffs(point_count);
+    for (std::size_t b = 0; b < patterns.block_count(); ++b) {
+      good_sim.simulate_block(patterns.block_words(b));
+      const std::vector<std::uint64_t>& good = good_sim.values();
+      propagator.begin_block(good);
+      for (const Fault& f : faults.representatives()) {
+        bool captured = false;
+        const std::uint64_t local =
+            propagator.local_word(f, good, nullptr, &captured);
+        diffs.assign(point_count, 0);
+        if (captured) {
+          diffs[compiled.point_index(f.gate)] = local;
+        } else if (local != 0) {
+          const std::uint64_t observed = propagator.stem_observation(
+              compiled.ffr_stem(f.gate), good, nullptr, stem_words.data());
+          std::uint64_t or_of_points = 0;
+          for (std::size_t i = 0; i < point_count; ++i) {
+            or_of_points |= stem_words[i];
+            diffs[i] = stem_words[i] & local;
+          }
+          EXPECT_EQ(or_of_points, observed);
+        }
+        EXPECT_EQ(diffs, reference::point_diffs(
+                             c, f, patterns.block_words(b), good))
+            << c.name() << " " << fault_name(c, f) << " block " << b;
       }
     }
   }
@@ -681,12 +704,11 @@ TEST(FaultSim, PointDiffWordsAgreeWithBothDetectKernels) {
 
 TEST(FaultSim, PointDiffWordsRequiresBlockSync) {
   const Circuit c = circuit::make_c17();
-  const FaultList faults = FaultList::full_universe(c);
   Propagator propagator(c);
   std::vector<std::uint64_t> good(c.gate_count(), 0);
-  std::vector<std::uint64_t> diffs;
-  EXPECT_THROW(propagator.point_diff_words(faults.representatives().front(),
-                                           good, diffs),
+  std::vector<std::uint64_t> words(c.observed_points().size());
+  EXPECT_THROW(propagator.stem_observation(c.primary_outputs().front(), good,
+                                           nullptr, words.data()),
                ContractViolation);
 }
 

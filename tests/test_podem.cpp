@@ -8,7 +8,8 @@
 #include "circuit/generators.hpp"
 #include "fault/fault_list.hpp"
 #include "fault/fault_sim.hpp"
-#include "fault_model/transition.hpp"
+#include "fault_model/fault_model.hpp"
+#include "reference_oracle.hpp"
 #include "sim/parallel_sim.hpp"
 #include "tpg/scoap.hpp"
 
@@ -21,7 +22,8 @@ using circuit::GateType;
 using fault::Fault;
 using fault::FaultList;
 
-/// Confirm a PODEM pattern with the fault simulator (independent engine).
+/// Confirm a PODEM pattern with the reference engine's full faulty-block
+/// resimulation (independent of PODEM and of the stem-region kernel).
 bool pattern_detects(const Circuit& c, const Fault& f,
                      const std::vector<bool>& pattern) {
   sim::ParallelSimulator good(c);
@@ -30,9 +32,8 @@ bool pattern_detects(const Circuit& c, const Fault& f,
     words[i] = pattern[i] ? 1ULL : 0ULL;
   }
   good.simulate_block(words);
-  fault::Propagator propagator(good.compiled());
-  propagator.begin_block(good.values());
-  return (propagator.detect_word(f, good.values()) & 1ULL) != 0;
+  return (fault::reference::detect_word(c, f, words, good.values()) &
+          1ULL) != 0;
 }
 
 TEST(Podem, DetectsSimpleStemFault) {
@@ -211,9 +212,9 @@ TEST(Podem, ScoapGuidedBacktraceStillClosesEveryFault) {
   }
 }
 
-/// Confirm a (launch, capture) pair with the independent two-pattern
-/// kernel: launch in lane 0, capture in lane 1; the fresh window masks
-/// lane 0, so bit 1 is the launch-gated capture detection.
+/// Confirm a (launch, capture) pair with the reference engine: launch in
+/// lane 0, capture in lane 1 of a standalone block, whose lane 0 has no
+/// launch, so bit 1 is the launch-gated capture detection.
 bool pair_detects(const Circuit& c, const Fault& f,
                   const std::vector<bool>& launch,
                   const std::vector<bool>& capture) {
@@ -223,12 +224,9 @@ bool pair_detects(const Circuit& c, const Fault& f,
     words[i] = (launch[i] ? 1ULL : 0ULL) | (capture[i] ? 2ULL : 0ULL);
   }
   good.simulate_block(words);
-  fault::Propagator propagator(good.compiled());
-  propagator.begin_block(good.values());
-  const fault_model::TwoPatternWindow window(
-      propagator.compiled()->node_count());
-  return (propagator.detect_word_transition(f, good.values(), window) &
-          2ULL) != 0;
+  const std::vector<std::vector<std::uint64_t>> blocks{good.values()};
+  return (fault::reference::detect_word(c, f, words, good.values()) &
+          fault::reference::launch_word(c, f, blocks, 0) & 2ULL) != 0;
 }
 
 /// out = OR(b, z) with z = AND(a, NOT a): z is constant 0, the canonical

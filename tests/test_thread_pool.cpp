@@ -97,8 +97,8 @@ TEST(ThreadPool, NonThrowingLanesCompleteWhenOneThrows) {
 }
 
 TEST(ThreadPool, ThrowFromGradingLanePropagates) {
-  // The PPSFP-MT shape: each lane owns a Propagator and grades faults.
-  // Calling detect_word without begin_block violates the propagator's
+  // The grading shape: each lane owns a Propagator and grades faults.
+  // Calling local_word without begin_block violates the propagator's
   // contract; the resulting ContractViolation must travel from the worker
   // thread to the caller instead of terminating the process.
   const circuit::Circuit c = circuit::make_c17();
@@ -114,8 +114,10 @@ TEST(ThreadPool, ThrowFromGradingLanePropagates) {
   const std::vector<std::uint64_t> good(compiled->node_count(), 0);
   EXPECT_THROW(pool.run([&](std::size_t lane) {
                  // Deliberately skip begin_block: stale-sync contract.
-                 (void)propagators[lane].detect_word(
-                     faults.representatives().front(), good);
+                 bool captured = false;
+                 (void)propagators[lane].local_word(
+                     faults.representatives().front(), good, nullptr,
+                     &captured);
                }),
                ContractViolation);
 }

@@ -10,6 +10,7 @@
 #include "bist/session.hpp"
 #include "circuit/generators.hpp"
 #include "fault/fault_sim.hpp"
+#include "fault/stem_grading.hpp"
 #include "fault/strobe.hpp"
 #include "tpg/atpg.hpp"
 #include "tpg/lfsr.hpp"
@@ -362,13 +363,20 @@ TEST(TransitionAtpg, GenerateTestsAcceptsTransitionUniverses) {
 }
 
 TEST(TransitionKernel, DetectWordTransitionRequiresBlockSync) {
+  // Launch-gated stem-region grading of a transition universe still runs
+  // the kernel's block-sync guard.
   const Circuit c = circuit::make_c17();
   const FaultList faults = FaultList::transition_universe(c);
   fault::Propagator propagator(c);
-  TwoPatternWindow window(c.gate_count());
-  std::vector<std::uint64_t> good(c.gate_count(), 0);
-  EXPECT_THROW(propagator.detect_word_transition(
-                   faults.representatives().front(), good, window),
+  const std::vector<std::uint32_t> classes = fault::sorted_live_list(
+      faults, *propagator.compiled(), 0, faults.class_count());
+  std::vector<std::uint64_t> good(c.gate_count(), ~0ULL);
+  std::vector<std::uint64_t> previous(c.gate_count(), 0);
+  std::vector<std::uint64_t> detects(classes.size());
+  EXPECT_THROW(fault::grade_stem_groups(propagator, faults, classes.data(),
+                                        classes.size(), good, ~0ULL, nullptr,
+                                        true, previous.data(),
+                                        detects.data()),
                ContractViolation);
 }
 
